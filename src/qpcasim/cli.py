@@ -29,7 +29,7 @@ EXIT_INPUT = 2
 EXIT_FILTERED = 3
 EXIT_INTERNAL = 4
 
-MAX_EIG_BITS = 6
+MAX_EIG_BITS = 7
 
 
 class ParseError(Exception):

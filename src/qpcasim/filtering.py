@@ -241,7 +241,8 @@ def build_filter_unitary(table: FilterTable, layout: RegisterLayout) -> GateOp:
     """Permutation gate |c>_y |lambda> -> |c + y(lambda) mod 2**n>_y |lambda>.
 
     Acting on the joint y+lambda register; the table is compiled in as
-    classical data, so no work qubits are consumed.
+    classical data, so no work qubits are consumed.  The gate is a gather
+    map: after it, |c>|lambda> holds the amplitude of |c - y(lambda)>|lambda>.
     """
     n = table.params.n_bits
     if len(layout.y_reg) != n:
@@ -249,15 +250,10 @@ def build_filter_unitary(table: FilterTable, layout: RegisterLayout) -> GateOp:
             f"table built for {n}-bit registers but layout has {len(layout.y_reg)}"
         )
     size = 1 << n
-    dim = size * size
-    perm = np.zeros((dim, dim))
-    for lam in range(size):
-        y = table.y_raw(lam)
-        for c in range(size):
-            src = c * size + lam
-            dst = ((c + y) % size) * size + lam
-            perm[dst, src] = 1.0
-    return GateOp(perm, layout.y_reg + layout.lambda_reg, label="U_lambda_tau")
+    y = np.array(table.y_raws)
+    c, lam = np.divmod(np.arange(size * size), size)
+    gather = ((c - y[lam]) % size) * size + lam
+    return GateOp(gather, layout.y_reg + layout.lambda_reg, label="U_lambda_tau")
 
 
 def build_qft_adder(width: int) -> Circuit:

@@ -39,6 +39,10 @@ from .sim import (
 
 UNCOMPUTE_ATOL = 1e-9
 
+# Widest register run_qpca simulates.  One 2**24-amplitude complex128 state
+# copy is 256 MiB, and applying a gate holds a few copies at once.
+MAX_QUBITS = 24
+
 
 class AllComponentsFiltered(Exception):
     """No eigenvalue exceeds the threshold; the filtered state is empty."""
@@ -176,20 +180,14 @@ def fidelity(a, b) -> float:
 
 
 def ancilla_flip_gate(layout: RegisterLayout) -> GateOp:
-    """X on the ancilla for every nonzero y-register value (OR over y bits)."""
-    n = layout.eig_bits
-    size = 1 << n
-    perm = np.zeros((2 * size, 2 * size))
-    for y in range(size):
-        for anc in (0, 1):
-            src = anc * size + y
-            dst = (anc ^ (y != 0)) * size + y
-            perm[dst, src] = 1.0
-    return GateOp(perm, (layout.ancilla,) + layout.y_reg, label="CU_flip")
+    """X on the ancilla for every nonzero y-register value (OR over y bits).
 
-
-def controlled_flip(state: StateVector, layout: RegisterLayout) -> StateVector:
-    return apply(state, ancilla_flip_gate(layout))
+    A gather map over (ancilla, y); the flip is its own inverse.
+    """
+    size = 1 << layout.eig_bits
+    anc, y = np.divmod(np.arange(2 * size), size)
+    gather = (anc ^ (y != 0)) * size + y
+    return GateOp(gather, (layout.ancilla,) + layout.y_reg, label="CU_flip")
 
 
 def _work_register_residual(state: StateVector, layout: RegisterLayout) -> float:
@@ -269,9 +267,18 @@ def run_qpca(
     reported output is the renormalized clean-register branch, a soft
     approximation of the thresholded state.
 
-    Raises ``ZeroProbabilityOutcome`` when every component is filtered out.
+    Raises ``ZeroProbabilityOutcome`` when every component is filtered out,
+    and ``ValueError`` before any state is built when the register needs
+    more than ``MAX_QUBITS`` qubits.
     """
     layout = make_layout(hin, config.n_bits)
+    if layout.num_qubits > MAX_QUBITS:
+        state_bytes = (1 << layout.num_qubits) * np.dtype(np.complex128).itemsize
+        raise ValueError(
+            f"{layout.num_qubits} qubits need {state_bytes} bytes "
+            f"({state_bytes >> 20} MiB) per state copy; "
+            f"the limit is {MAX_QUBITS} qubits"
+        )
 
     rounded = np.round(hin.eigenvalues)
     exact_spectrum = bool(np.max(np.abs(hin.eigenvalues - rounded)) <= 1e-6)

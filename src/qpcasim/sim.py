@@ -7,6 +7,15 @@ basis state |b0 b1 ... b_{Q-1}> lives at index sum_i b_i * 2**(Q-1-i).  This
 matches circuit diagrams read top to bottom, with qubit 0 on the top wire.
 
 States are immutable; every operation returns a fresh ``StateVector``.
+
+A gate on k target qubits holds one of two forms in ``GateOp.matrix``:
+
+* a dense (2**k x 2**k) complex unitary M, applied as ``M @ amps``;
+* a length-2**k integer gather map g, the permutation matrix with
+  M[i, g[i]] = 1, applied as ``amps[g]``: the amplitude that lands on
+  target value i is the one that sat on g[i].  Table-compiled classical
+  blocks (the eigenvalue filter, the ancilla flip) use this form, so a
+  2n-qubit permutation costs 2**(2n) integers instead of a 2**(4n) matrix.
 """
 
 from __future__ import annotations
@@ -97,22 +106,29 @@ def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
-    # Permutation matrices (the large filter unitaries) pass a cheap
-    # structural check; everything else pays for the full product.
-    nz = np.abs(m) > UNITARY_ATOL
-    if np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1):
-        if np.max(np.abs(m[nz] - 1.0)) < 1e-12:
-            return 0.0
     gram = m.conj().T @ m
     return float(np.max(np.abs(gram - np.eye(m.shape[0]))))
+
+
+def _is_permutation(g: np.ndarray) -> bool:
+    """True when ``g`` holds every value of range(len(g)) exactly once."""
+    size = g.size
+    if g.min() < 0 or g.max() >= size:
+        return False
+    return bool(np.all(np.bincount(g, minlength=size) == 1))
 
 
 class GateOp:
     """A k-qubit unitary acting on ``targets``, optionally controlled.
 
+    ``matrix`` is either a dense 2**k x 2**k unitary or, for a permutation,
+    a length-2**k integer gather map g meaning the matrix with M[i, g[i]] = 1
+    (see the module docstring).  A one-dimensional integer array selects the
+    map form; it is checked to be a permutation of range(2**k), a dense
+    matrix to be unitary, both at construction.
+
     ``controls`` is a sequence of (qubit, polarity) pairs; polarity 1 fires
-    on |1>, polarity 0 on |0>.  Bare qubit indices mean polarity 1.  The
-    matrix is checked for unitarity at construction.
+    on |1>, polarity 0 on |0>.  Bare qubit indices mean polarity 1.
     """
 
     __slots__ = ("matrix", "targets", "controls", "label")
@@ -122,15 +138,23 @@ class GateOp:
             targets = (int(targets),)
         targets = tuple(int(t) for t in targets)
         controls = _normalize_controls(controls)
-        m = np.array(matrix, dtype=np.complex128)
         k = len(targets)
         if k < 1:
             raise ValueError("gate needs at least one target qubit")
-        if m.ndim != 2 or m.shape != (1 << k, 1 << k):
-            raise ValueError(f"matrix shape {m.shape} does not match {k} target qubit(s)")
-        defect = _unitarity_defect(m)
-        if defect > UNITARY_ATOL:
-            raise NonUnitaryMatrixError(f"matrix deviates from unitarity by {defect:.3e}")
+        m = np.asarray(matrix)
+        if m.ndim == 1 and m.dtype.kind in "iu":
+            m = np.array(m, dtype=np.intp)
+            if m.size != 1 << k:
+                raise ValueError(f"gather map length {m.size} does not match {k} target qubit(s)")
+            if not _is_permutation(m):
+                raise NonUnitaryMatrixError(f"gather map is not a permutation of range({m.size})")
+        else:
+            m = np.array(matrix, dtype=np.complex128)
+            if m.ndim != 2 or m.shape != (1 << k, 1 << k):
+                raise ValueError(f"matrix shape {m.shape} does not match {k} target qubit(s)")
+            defect = _unitarity_defect(m)
+            if defect > UNITARY_ATOL:
+                raise NonUnitaryMatrixError(f"matrix deviates from unitarity by {defect:.3e}")
         touched = list(targets) + [q for q, _ in controls]
         if len(set(touched)) != len(touched):
             raise ValueError(f"targets and controls overlap: {touched}")
@@ -143,8 +167,13 @@ class GateOp:
         self.label = label
 
     def dagger(self) -> "GateOp":
-        """Inverse gate: conjugate-transposed matrix, same wiring."""
-        return GateOp(self.matrix.conj().T, self.targets, self.controls, self.label)
+        """Inverse gate, same wiring: the inverse permutation of a gather map,
+        the conjugate transpose of a dense matrix."""
+        if self.matrix.ndim == 1:
+            inverse = np.argsort(self.matrix)
+        else:
+            inverse = self.matrix.conj().T
+        return GateOp(inverse, self.targets, self.controls, self.label)
 
     def remap(self, qubit_map: Sequence[int]) -> "GateOp":
         """Rewire the gate through ``qubit_map`` (old index -> new index)."""
@@ -232,7 +261,9 @@ def apply(state: StateVector, op: GateOp) -> StateVector:
     index = tuple(index)
     sub = tensor[index]
     flat = np.ascontiguousarray(sub).reshape(1 << k, -1)
-    tensor[index] = (op.matrix @ flat).reshape(sub.shape)
+    gate = op.matrix
+    # The result stays unnamed so it is freed before StateVector copies amps.
+    tensor[index] = (flat[gate] if gate.ndim == 1 else gate @ flat).reshape(sub.shape)
     return StateVector(amps)
 
 

@@ -10,10 +10,23 @@ from fractions import Fraction
 import numpy as np
 
 
+def gate_matrix(op) -> np.ndarray:
+    """The 2**k x 2**k matrix of a GateOp's targets; a gather map g becomes
+    the permutation matrix with M[i, g[i]] = 1."""
+    if op.matrix.ndim == 2:
+        return op.matrix
+    size = op.matrix.size
+    out = np.zeros((size, size), dtype=complex)
+    for i in range(size):
+        out[i, op.matrix[i]] = 1.0
+    return out
+
+
 def dense_operator(op, num_qubits: int) -> np.ndarray:
     """Full 2**Q x 2**Q matrix of a GateOp, by basis-state enumeration."""
     dim = 1 << num_qubits
     k = len(op.targets)
+    matrix = gate_matrix(op)
     full = np.zeros((dim, dim), dtype=complex)
     for src in range(dim):
         bits = [(src >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
@@ -24,7 +37,7 @@ def dense_operator(op, num_qubits: int) -> np.ndarray:
         for t in op.targets:
             col = (col << 1) | bits[t]
         for row_sub in range(1 << k):
-            amp = op.matrix[row_sub, col]
+            amp = matrix[row_sub, col]
             if amp == 0:
                 continue
             new_bits = list(bits)
@@ -35,6 +48,33 @@ def dense_operator(op, num_qubits: int) -> np.ndarray:
                 dst = (dst << 1) | b
             full[dst, src] = amp
     return full
+
+
+def filter_permutation_matrix(table) -> np.ndarray:
+    """Dense |c>|lambda> -> |c + y(lambda) mod 2**n>|lambda> on the joint
+    y+lambda register, one entry per source basis state."""
+    size = 1 << table.params.n_bits
+    dim = size * size
+    perm = np.zeros((dim, dim))
+    for lam in range(size):
+        y = table.y_raw(lam)
+        for c in range(size):
+            src = c * size + lam
+            dst = ((c + y) % size) * size + lam
+            perm[dst, src] = 1.0
+    return perm
+
+
+def flip_permutation_matrix(n_bits: int) -> np.ndarray:
+    """Dense ancilla flip on (ancilla, y): X on the ancilla wherever y != 0."""
+    size = 1 << n_bits
+    perm = np.zeros((2 * size, 2 * size))
+    for y in range(size):
+        for anc in (0, 1):
+            src = anc * size + y
+            dst = (anc ^ (y != 0)) * size + y
+            perm[dst, src] = 1.0
+    return perm
 
 
 def dft_matrix(num_qubits: int) -> np.ndarray:

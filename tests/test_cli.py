@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +108,14 @@ class TestRunCommand:
         assert plot[1] == "0,0.25"
         assert len(plot) == 5
 
+    def test_widest_register(self, a_path, tmp_path):
+        out = tmp_path / "result.json"
+        assert main(["run", "--matrix", a_path, "--tau", "1.0", "--eig-bits", "7",
+                     "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["success_probability"] == 0.8
+        assert doc["output_amplitudes"] == [0.5, 0.5, 0.5, 0.5]
+
     def test_output_is_deterministic(self, c_path, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for out in (out1, out2):
@@ -150,6 +159,20 @@ class TestRunCommand:
     def test_bad_eig_bits_exits_two(self, a_path, tmp_path):
         assert main(["run", "--matrix", a_path, "--tau", "1", "--eig-bits", "9",
                      "--out", str(tmp_path / "x.json")]) == EXIT_INPUT
+
+    def test_register_too_wide_exits_two(self, tmp_path, capsys):
+        # 64x64 at n = 6 is 25 qubits: refused before a 512 MiB state exists
+        p = tmp_path / "wide.csv"
+        np.savetxt(p, np.diag(np.arange(64.0) % 8), delimiter=",")
+        out = tmp_path / "x.json"
+        start = time.perf_counter()
+        code = main(["run", "--matrix", str(p), "--tau", "0.5", "--eig-bits", "6",
+                     "--out", str(out)])
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "25 qubits" in err and "536870912 bytes" in err
+        assert not out.exists()
 
     def test_missing_matrix_exits_two(self, tmp_path, capsys):
         code = main(["run", "--matrix", "missing.csv", "--tau", "1", "--eig-bits", "2",

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import newton_reciprocal_fraction
+from helpers import filter_permutation_matrix, gate_matrix, newton_reciprocal_fraction
 from qpcasim import (
+    Circuit,
     FilterParams,
     FilterTable,
     FixedPoint,
@@ -258,9 +259,23 @@ class TestFilterUnitary:
     def test_is_permutation(self):
         layout = RegisterLayout(eig_bits=2, data_qubits=2)
         table = build_filter_table(FilterParams(tau=0.5, n_bits=2))
-        m = build_filter_unitary(table, layout).matrix
-        assert np.array_equal(np.abs(m).sum(axis=0), np.ones(16))
-        assert np.array_equal(np.abs(m).sum(axis=1), np.ones(16))
+        op = build_filter_unitary(table, layout)
+        m = circuit_unitary(Circuit(layout.num_qubits, [op]))
+        dim = 1 << layout.num_qubits
+        assert np.array_equal(np.abs(m).sum(axis=0), np.ones(dim))
+        assert np.array_equal(np.abs(m).sum(axis=1), np.ones(dim))
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [0.5, 2.5, 1.0, 3.0, 0.3, 2.9])
+    def test_matches_dense_reference(self, n_bits, tau):
+        # half-integer, integer and off-grid thresholds, every basis state
+        layout = RegisterLayout(eig_bits=n_bits, data_qubits=2)
+        table = build_filter_table(FilterParams(tau=tau, n_bits=n_bits))
+        op = build_filter_unitary(table, layout)
+        assert op.targets == layout.y_reg + layout.lambda_reg
+        want = filter_permutation_matrix(table)
+        assert np.array_equal(gate_matrix(op), want)
+        assert np.array_equal(gate_matrix(op.dagger()), want.T)
 
     def test_inverse_restores(self):
         layout = RegisterLayout(eig_bits=2, data_qubits=2)

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import random_integer_spectrum_matrix
+from helpers import flip_permutation_matrix, gate_matrix, random_integer_spectrum_matrix
 from qpcasim import (
     AllComponentsFiltered,
     FilterParams,
@@ -134,6 +136,15 @@ class TestAncillaFlip:
         layout = RegisterLayout(eig_bits=2, data_qubits=2)
         got = apply(StateVector.basis(layout.num_qubits, 3), ancilla_flip_gate(layout))
         assert got.amps[3] == 1.0
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
+    def test_matches_dense_reference(self, n_bits):
+        layout = RegisterLayout(eig_bits=n_bits, data_qubits=2)
+        gate = ancilla_flip_gate(layout)
+        assert gate.targets == (layout.ancilla,) + layout.y_reg
+        want = flip_permutation_matrix(n_bits)
+        assert np.array_equal(gate_matrix(gate), want)
+        assert np.array_equal(gate_matrix(gate.dagger()), want.T)
 
     def test_involution(self):
         layout = RegisterLayout(eig_bits=2, data_qubits=2)
@@ -300,6 +311,21 @@ class TestRunQpca:
         hin = HermitianInput.from_matrix(np.diag([2.3, 1.0]))
         with pytest.warns(SpectralPrecisionWarning):
             run_qpca(hin, QpcaConfig(tau=1.5, n_bits=2))
+
+    def test_wide_register_memory(self):
+        # dim 4 at n = 6 is 17 qubits, 2 MiB per state copy; the filter and
+        # flip are gather maps, so no 4096 x 4096 matrix (268 MB) is built
+        rng = np.random.default_rng(8)
+        mat, _ = random_integer_spectrum_matrix(rng, 4, 6, tau=20.5)
+        hin = HermitianInput.from_matrix(mat)
+        tracemalloc.start()
+        try:
+            result = run_qpca(hin, QpcaConfig(tau=20.5, n_bits=6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert abs(result.fidelity - 1.0) < 1e-9
 
     def test_rejects_non_power_of_two_dimension(self):
         hin = HermitianInput.from_matrix(np.eye(3))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_operator, random_state, random_unitary
+from helpers import dense_operator, gate_matrix, random_state, random_unitary
 from qpcasim import (
     Circuit,
     GateOp,
@@ -87,7 +87,7 @@ class TestGateOp:
         GateOp(m, (0,))  # defect well under tolerance
 
     def test_large_permutation_accepted(self):
-        # cyclic shift on 6 qubits; structural fast path, no Gram product
+        # cyclic shift on 6 qubits, given as a dense matrix
         size = 64
         perm = np.zeros((size, size))
         for i in range(size):
@@ -107,6 +107,33 @@ class TestGateOp:
         op = GateOp(random_unitary(rng, 4), (0, 1))
         prod = op.matrix @ op.dagger().matrix
         assert np.max(np.abs(prod - np.eye(4))) < 1e-12
+
+    def test_gather_map_is_stored_as_integers(self):
+        op = GateOp([1, 2, 3, 0], (0, 1))
+        assert op.matrix.ndim == 1 and op.matrix.dtype.kind == "i"
+        assert np.array_equal(gate_matrix(op), np.roll(np.eye(4), 1, axis=1))
+        with pytest.raises(ValueError):
+            op.matrix[0] = 0
+
+    def test_gather_map_not_a_permutation_rejected(self):
+        for g in ([0, 0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2]):
+            with pytest.raises(NonUnitaryMatrixError):
+                GateOp(np.array(g), (0, 1))
+
+    def test_gather_map_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            GateOp(np.arange(8), (0, 1))
+
+    def test_one_dimensional_float_array_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            GateOp(np.array([1.0, 0.0, 3.0, 2.0]), (0, 1))
+
+    def test_gather_map_dagger_inverts(self):
+        rng = np.random.default_rng(6)
+        op = GateOp(rng.permutation(16), (0, 1, 2, 3), controls=((4, 0),))
+        inv = op.dagger()
+        assert inv.controls == op.controls and inv.targets == op.targets
+        assert np.array_equal(gate_matrix(op) @ gate_matrix(inv), np.eye(16))
 
     def test_bare_int_control_means_polarity_one(self):
         op = pauli_x(1, controls=(0,))
@@ -158,6 +185,23 @@ class TestApply:
             n_ctrl = int(rng.integers(0, len(wires[k:]) + 1))
             controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
             op = GateOp(random_unitary(rng, 1 << k), targets, controls)
+            vec = random_state(rng, q)
+            got = apply(StateVector(vec), op).amps
+            want = dense_operator(op, q) @ vec
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_gather_map_matches_dense_operator(self):
+        # random permutations, controlled with mixed polarities, against
+        # the permutation matrix expanded by basis enumeration
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            q = int(rng.integers(1, 6))
+            k = int(rng.integers(1, min(3, q) + 1))
+            wires = list(rng.permutation(q))
+            targets = tuple(wires[:k])
+            n_ctrl = int(rng.integers(0, len(wires[k:]) + 1))
+            controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
+            op = GateOp(rng.permutation(1 << k), targets, controls)
             vec = random_state(rng, q)
             got = apply(StateVector(vec), op).amps
             want = dense_operator(op, q) @ vec
