@@ -29,7 +29,7 @@ EXIT_INPUT = 2
 EXIT_FILTERED = 3
 EXIT_INTERNAL = 4
 
-MAX_EIG_BITS = 7
+MAX_EIG_BITS = 8
 
 
 class ParseError(Exception):

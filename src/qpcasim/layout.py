@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -28,6 +30,12 @@ class RegisterLayout:
     @property
     def num_qubits(self) -> int:
         return 1 + 2 * self.eig_bits + self.data_qubits
+
+    def view(self, amps: np.ndarray) -> np.ndarray:
+        """``amps`` (or any per-basis-state array) reshaped to axes
+        (ancilla, y, lambda, data) of sizes (2, 2**n, 2**n, 2**m)."""
+        size = 1 << self.eig_bits
+        return np.reshape(amps, (2, size, size, 1 << self.data_qubits))
 
     @property
     def ancilla(self) -> int:

@@ -64,7 +64,6 @@ class HermitianInput:
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    singular_values: np.ndarray
     rank: int
 
     @classmethod
@@ -81,15 +80,8 @@ class HermitianInput:
         recon = (eigvecs * eigvals) @ eigvecs.T
         if np.max(np.abs(recon - m)) > 1e-9:
             raise PipelineInvariantError("eigendecomposition failed to reproduce the matrix")
-        sv = np.abs(eigvals)
-        rank = int(np.sum(sv > 1e-12))
-        return cls(
-            matrix=m,
-            eigenvalues=eigvals,
-            eigenvectors=eigvecs,
-            singular_values=sv,
-            rank=rank,
-        )
+        rank = int(np.sum(np.abs(eigvals) > 1e-12))
+        return cls(matrix=m, eigenvalues=eigvals, eigenvectors=eigvecs, rank=rank)
 
     @property
     def dim(self) -> int:
@@ -192,10 +184,9 @@ def ancilla_flip_gate(layout: RegisterLayout) -> GateOp:
 
 def _work_register_residual(state: StateVector, layout: RegisterLayout) -> float:
     """Probability mass with y or lambda register away from |0>."""
-    idx = np.arange(state.amps.size)
-    width = 2 * layout.eig_bits
-    work = (idx >> layout.data_qubits) & ((1 << width) - 1)
-    return float(np.sum(state.probabilities()[work != 0]))
+    work = layout.view(state.probabilities()).sum(axis=(0, 3))
+    work[0, 0] = 0.0
+    return float(work.sum())
 
 
 def uncompute(
@@ -233,10 +224,7 @@ def second_phase_estimation(
 
 def lambda_register_histogram(state: StateVector, layout: RegisterLayout) -> dict[int, float]:
     """Marginal probability of each lambda-register value, zeros dropped."""
-    n = layout.eig_bits
-    idx = np.arange(state.amps.size)
-    vals = (idx >> layout.data_qubits) & ((1 << n) - 1)
-    mass = np.bincount(vals, weights=state.probabilities(), minlength=1 << n)
+    mass = layout.view(state.probabilities()).sum(axis=(0, 1, 3))
     return {int(v): float(p) for v, p in enumerate(mass) if p > 1e-12}
 
 
@@ -322,11 +310,10 @@ def run_qpca(
     success_prob, collapsed = post_select(state, layout.ancilla, 1)
     success_prob = min(success_prob, 1.0)
 
-    # With ancilla = 1 and work registers at |0>, all mass sits in one
-    # contiguous block whose offset is the ancilla bit.  Approximate spectra
-    # leak some mass outside it; the block is renormalized either way.
-    block = (1 << (layout.num_qubits - 1)) + np.arange(1 << layout.data_qubits)
-    amps = collapsed.amps[block]
+    # With ancilla = 1 all mass should sit on clean work registers.
+    # Approximate spectra leak some mass outside that block; it is
+    # renormalized either way.
+    amps = layout.view(collapsed.amps)[1, 0, 0]
     block_mass = float(np.sum(np.abs(amps) ** 2))
     if exact_spectrum and 1.0 - block_mass > UNCOMPUTE_ATOL:
         raise PipelineInvariantError(
@@ -347,19 +334,15 @@ def run_qpca(
     shots = counts = None
     if config.mode == "sampled":
         raw = sample(state, config.shots, config.seed)
-        anc_shift = layout.num_qubits - 1
-        data_mask = (1 << layout.data_qubits) - 1
-        counts = {}
-        for idx, c in raw.items():
-            if (idx >> anc_shift) & 1:
-                key = idx & data_mask
-                counts[key] = counts.get(key, 0) + c
-        accepted = sum(counts.values())
+        per_index = np.zeros(state.amps.size, dtype=np.int64)
+        per_index[list(raw)] = list(raw.values())
+        # ancilla-1 shots, whatever the work registers read, per data value
+        per_data = layout.view(per_index)[1].sum(axis=(0, 1))
+        accepted = int(per_data.sum())
         if accepted == 0:
             raise PipelineInvariantError("no shot landed on the post-selected ancilla")
-        output_amps = np.sqrt(
-            np.array([counts.get(x, 0) for x in range(1 << layout.data_qubits)]) / accepted
-        )
+        counts = {x: int(c) for x, c in enumerate(per_data) if c}
+        output_amps = np.sqrt(per_data / accepted)
         shots = config.shots
 
     fid = 0.0 if expected is None else fidelity(output_amps, expected)

@@ -6,7 +6,11 @@ Qubit 0 is the most significant bit of a basis-state index: with Q qubits,
 basis state |b0 b1 ... b_{Q-1}> lives at index sum_i b_i * 2**(Q-1-i).  This
 matches circuit diagrams read top to bottom, with qubit 0 on the top wire.
 
-States are immutable; every operation returns a fresh ``StateVector``.
+States are immutable at the API: every operation returns a fresh
+``StateVector`` and never writes its input.  Inside, ``run`` copies the input
+amplitudes once into a private buffer and applies every gate to that buffer
+in place, through the same kernel ``apply`` uses; the finiteness and norm
+checks of ``StateVector`` then run once per ``run``, not once per gate.
 
 A gate on k target qubits holds one of two forms in ``GateOp.matrix``:
 
@@ -243,39 +247,45 @@ class Circuit:
         return iter(self._ops)
 
 
+def _apply_into(amps: np.ndarray, num_qubits: int, op: GateOp) -> None:
+    """Apply ``op`` in place to ``amps``, a writable flat complex128 array.
+
+    Fixing the controls by basic indexing and moving the targets to the
+    front are both views of ``amps``, so only the controlled subspace is
+    copied, once, into the (2**k, rest) block the gate acts on.
+    """
+    index = [slice(None)] * num_qubits
+    for cq, pol in op.controls:
+        index[cq] = pol
+    sub = amps.reshape((2,) * num_qubits)[tuple(index)]
+    # each fixed control before a target removes one axis ahead of it
+    axes = [t - sum(cq < t for cq, _ in op.controls) for t in op.targets]
+    sub = np.moveaxis(sub, axes, range(len(axes)))
+    flat = sub.reshape(1 << len(axes), -1)
+    gate = op.matrix
+    sub[...] = (flat[gate] if gate.ndim == 1 else gate @ flat).reshape(sub.shape)
+
+
 def apply(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate and return the new state."""
     q = state.num_qubits
     if op.max_qubit() >= q:
         raise ValueError(f"gate touches qubit {op.max_qubit()} but state has {q} qubits")
-    k = len(op.targets)
-    target_set = set(op.targets)
-    rest = [i for i in range(q) if i not in target_set]
-    perm = list(op.targets) + rest
-
     amps = state.amps.copy()
-    tensor = amps.reshape((2,) * q).transpose(perm)
-    index = [slice(None)] * q
-    for cq, pol in op.controls:
-        index[k + rest.index(cq)] = pol
-    index = tuple(index)
-    sub = tensor[index]
-    flat = np.ascontiguousarray(sub).reshape(1 << k, -1)
-    gate = op.matrix
-    # The result stays unnamed so it is freed before StateVector copies amps.
-    tensor[index] = (flat[gate] if gate.ndim == 1 else gate @ flat).reshape(sub.shape)
+    _apply_into(amps, q, op)
     return StateVector(amps)
 
 
 def run(state: StateVector, circuit: Circuit) -> StateVector:
-    """Apply every gate of ``circuit`` in order."""
+    """Apply every gate of ``circuit`` in order; the state is checked once, at the end."""
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit width {circuit.num_qubits} does not match state width {state.num_qubits}"
         )
+    amps = state.amps.copy()
     for op in circuit:
-        state = apply(state, op)
-    return state
+        _apply_into(amps, state.num_qubits, op)
+    return StateVector(amps)
 
 
 def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, StateVector]:
@@ -289,15 +299,16 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, St
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    shift = state.num_qubits - 1 - qubit
-    bits = (np.arange(state.amps.size) >> shift) & 1
-    mask = bits == outcome
-    prob = float(np.sum(np.abs(state.amps[mask]) ** 2))
+    # axis 1 is the measured qubit, axis 0 the qubits above it
+    split = state.amps.reshape(1 << qubit, 2, -1)
+    kept = split[:, outcome, :]
+    prob = float(np.sum(np.abs(kept) ** 2))
     if prob < MIN_OUTCOME_PROB:
         raise ZeroProbabilityOutcome(
             f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
         )
-    collapsed = np.where(mask, state.amps, 0.0) / math.sqrt(prob)
+    collapsed = np.zeros_like(split)
+    collapsed[:, outcome, :] = kept / math.sqrt(prob)
     return prob, StateVector(collapsed)
 
 

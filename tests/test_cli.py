@@ -109,8 +109,9 @@ class TestRunCommand:
         assert len(plot) == 5
 
     def test_widest_register(self, a_path, tmp_path):
+        # README example on 1 + 2*8 + 2 = 19 qubits
         out = tmp_path / "result.json"
-        assert main(["run", "--matrix", a_path, "--tau", "1.0", "--eig-bits", "7",
+        assert main(["run", "--matrix", a_path, "--tau", "1.0", "--eig-bits", "8",
                      "--out", str(out)]) == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["success_probability"] == 0.8

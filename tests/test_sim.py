@@ -209,17 +209,68 @@ class TestApply:
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(17)
-        s = StateVector(random_state(rng, 5))
+        start = s = StateVector(random_state(rng, 5))
+        ops = []
         for _ in range(30):
             t = int(rng.integers(0, 5))
-            s = apply(s, GateOp(random_unitary(rng, 2), (t,)))
+            ops.append(GateOp(random_unitary(rng, 2), (t,)))
+            s = apply(s, ops[-1])
         assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-12
+        whole = run(start, Circuit(5, ops))
+        assert abs(np.linalg.norm(whole.amps) - 1.0) < 1e-12
+
+    def test_input_state_untouched(self):
+        rng = np.random.default_rng(19)
+        vec = random_state(rng, 4)
+        s = StateVector(vec)
+        op = GateOp(random_unitary(rng, 4), (2, 0), controls=((1, 0),))
+        apply(s, op)
+        run(s, Circuit(4, [op, pauli_x(3, controls=((2, 1),)), op.dagger()]))
+        assert np.array_equal(s.amps, vec)
+        assert not s.amps.flags.writeable
 
 
 class TestCircuit:
     def test_append_validates_width(self):
         with pytest.raises(ValueError, match="qubit"):
             Circuit(2).append(pauli_x(5))
+
+    def test_run_matches_apply_and_dense_product(self):
+        # random circuits mixing dense and gather-map gates, targets in
+        # unsorted order, controls of both polarities between the targets
+        rng = np.random.default_rng(47)
+        interleaved = 0
+        for _ in range(30):
+            q = int(rng.integers(2, 7))
+            circuit = Circuit(q)
+            for _ in range(int(rng.integers(1, 9))):
+                k = int(rng.integers(1, min(3, q) + 1))
+                wires = [int(w) for w in rng.permutation(q)]
+                targets = tuple(wires[:k])
+                n_ctrl = int(rng.integers(0, q - k + 1))
+                controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
+                if rng.integers(0, 2):
+                    gate = random_unitary(rng, 1 << k)
+                else:
+                    gate = rng.permutation(1 << k)
+                circuit.append(GateOp(gate, targets, controls))
+                interleaved += any(min(targets) < c < max(targets) for c, _ in controls)
+            vec = random_state(rng, q)
+            got = run(StateVector(vec), circuit).amps
+            stepped = StateVector(vec)
+            want = vec
+            for op in circuit:
+                stepped = apply(stepped, op)
+                want = dense_operator(op, q) @ want
+            assert np.max(np.abs(got - stepped.amps)) < 1e-12
+            assert np.max(np.abs(got - want)) < 1e-12
+        assert interleaved > 0
+
+    def test_empty_circuit_copies_input(self):
+        s = StateVector(random_state(np.random.default_rng(53), 3))
+        out = run(s, Circuit(3))
+        assert np.array_equal(out.amps, s.amps)
+        assert not np.shares_memory(out.amps, s.amps)
 
     def test_hadamard_squares_to_identity(self):
         c = Circuit(1, [hadamard(0), hadamard(0)])
