@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import Circuit, GateOp, cphase, hadamard, ry, swap
+from .sim import Circuit, GateOp, cphase, hadamard, swap
 
 
 class SpectralPrecisionWarning(UserWarning):
@@ -185,8 +185,10 @@ def state_prep_tree(vector) -> StatePrepTree:
 def build_state_prep(vector, qubits=None, num_qubits: int | None = None) -> Circuit:
     """Circuit taking |0...0> to the normalized ``vector`` on ``qubits``.
 
-    One multi-controlled Ry per binary-tree node, controls spelling out the
-    path from the root.  Zero-angle rotations are dropped, so preparing a
+    One uniformly controlled Ry per binary-tree level (Mottonen et al.,
+    quant-ph/0407010): the level-l gate targets ``qubits[:l+1]`` and holds
+    one 2x2 rotation block per value of the first l qubits, the path from
+    the root.  Levels whose angles are all zero are dropped, so preparing a
     basis state costs no gates.
     """
     tree = state_prep_tree(vector)
@@ -202,11 +204,9 @@ def build_state_prep(vector, qubits=None, num_qubits: int | None = None) -> Circ
 
     circ = Circuit(num_qubits)
     for level, thetas in enumerate(tree.level_angles):
-        for node, theta in enumerate(thetas):
-            if theta == 0.0:
-                continue
-            controls = tuple(
-                (qubits[b], (node >> (level - 1 - b)) & 1) for b in range(level)
-            )
-            circ.append(ry(float(theta), qubits[level], controls=controls))
+        if not np.any(thetas):
+            continue
+        c, s = np.cos(thetas / 2), np.sin(thetas / 2)
+        blocks = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+        circ.append(GateOp(blocks, qubits[: level + 1], label=f"UCRy(level {level})"))
     return circ

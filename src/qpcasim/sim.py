@@ -7,19 +7,35 @@ basis state |b0 b1 ... b_{Q-1}> lives at index sum_i b_i * 2**(Q-1-i).  This
 matches circuit diagrams read top to bottom, with qubit 0 on the top wire.
 
 States are immutable at the API: every operation returns a fresh
-``StateVector`` and never writes its input.  Inside, ``run`` copies the input
-amplitudes once into a private buffer and applies every gate to that buffer
-in place, through the same kernel ``apply`` uses; the finiteness and norm
-checks of ``StateVector`` then run once per ``run``, not once per gate.
+``StateVector`` and never writes its input.  Inside, ``run`` (and ``apply``,
+which is ``run`` of one gate) builds one private output buffer and applies
+every gate to it in place; the finiteness and norm checks of ``StateVector``
+then run once per ``run``, not once per gate.
 
-A gate on k target qubits holds one of two forms in ``GateOp.matrix``:
+Live rows.  A circuit whose gates leave qubits 0 .. top-1 untouched acts as
+I (x) U on the rows of ``amps.reshape(2**top, -1)``, so a row that is
+exactly zero stays exactly zero.  ``run`` takes ``top`` as the lowest qubit
+any gate touches, keeps the rows that hold any nonzero amplitude (an exact
+test, so a row holding NaN counts as live) and applies the gates to those
+rows alone: as a slice when they are contiguous, otherwise gathered once
+before the gates and scattered once after.  In the pipeline, phase
+estimation touches only the lambda register and the row half of the data
+register while the ancilla and y register hold one or two values, so it
+works on 2**(n+m) of the 2**Q amplitudes.
+
+A gate on k target qubits holds one of three forms in ``GateOp.matrix``:
 
 * a dense (2**k x 2**k) complex unitary M, applied as ``M @ amps``;
 * a length-2**k integer gather map g, the permutation matrix with
   M[i, g[i]] = 1, applied as ``amps[g]``: the amplitude that lands on
   target value i is the one that sat on g[i].  Table-compiled classical
   blocks (the eigenvalue filter, the ancilla flip) use this form, so a
-  2n-qubit permutation costs 2**(2n) integers instead of a 2**(4n) matrix.
+  2n-qubit permutation costs 2**(2n) integers instead of a 2**(4n) matrix;
+* a (B, d, d) stack of unitary blocks with B * d = 2**k, the block-diagonal
+  matrix diag(M_0, ..., M_{B-1}): the leading log2(B) targets select the
+  block, which acts on the remaining targets.  A uniformly controlled
+  rotation, one rotation per value of its control qubits, is one such gate;
+  state preparation emits one per level of its binary tree.
 """
 
 from __future__ import annotations
@@ -56,7 +72,17 @@ class StateVector:
     __slots__ = ("num_qubits", "_amps")
 
     def __init__(self, amps: Iterable[complex]):
-        arr = np.array(amps, dtype=np.complex128).reshape(-1)
+        self._adopt(np.array(amps, dtype=np.complex128).reshape(-1))
+
+    @classmethod
+    def _owned(cls, arr: np.ndarray) -> "StateVector":
+        """Wrap a complex128 buffer without copying it.  The caller owns
+        ``arr`` and hands it over: nothing else may hold or write it."""
+        self = cls.__new__(cls)
+        self._adopt(arr.reshape(-1))
+        return self
+
+    def _adopt(self, arr: np.ndarray) -> None:
         q = arr.size.bit_length() - 1
         if arr.size < 2 or (1 << q) != arr.size:
             raise ValueError(f"amplitude count {arr.size} is not a power of two >= 2")
@@ -109,9 +135,14 @@ def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _conj_transpose(m: np.ndarray) -> np.ndarray:
+    """M^dag of a dense matrix, or of each block of a (B, d, d) stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
 def _unitarity_defect(m: np.ndarray) -> float:
-    gram = m.conj().T @ m
-    return float(np.max(np.abs(gram - np.eye(m.shape[0]))))
+    gram = _conj_transpose(m) @ m
+    return float(np.max(np.abs(gram - np.eye(m.shape[-1]))))
 
 
 def _is_permutation(g: np.ndarray) -> bool:
@@ -125,11 +156,13 @@ def _is_permutation(g: np.ndarray) -> bool:
 class GateOp:
     """A k-qubit unitary acting on ``targets``, optionally controlled.
 
-    ``matrix`` is either a dense 2**k x 2**k unitary or, for a permutation,
-    a length-2**k integer gather map g meaning the matrix with M[i, g[i]] = 1
-    (see the module docstring).  A one-dimensional integer array selects the
-    map form; it is checked to be a permutation of range(2**k), a dense
-    matrix to be unitary, both at construction.
+    ``matrix`` is a dense 2**k x 2**k unitary; for a permutation, a
+    length-2**k integer gather map g meaning the matrix with M[i, g[i]] = 1;
+    or, for a block-diagonal gate, a (B, d, d) stack of blocks with
+    B * d = 2**k, selected by the leading targets (see the module
+    docstring).  A one-dimensional integer array selects the map form; it is
+    checked to be a permutation of range(2**k), a dense matrix or each block
+    to be unitary, all at construction.
 
     ``controls`` is a sequence of (qubit, polarity) pairs; polarity 1 fires
     on |1>, polarity 0 on |0>.  Bare qubit indices mean polarity 1.
@@ -154,7 +187,11 @@ class GateOp:
                 raise NonUnitaryMatrixError(f"gather map is not a permutation of range({m.size})")
         else:
             m = np.array(matrix, dtype=np.complex128)
-            if m.ndim != 2 or m.shape != (1 << k, 1 << k):
+            if m.ndim == 3:
+                fits = m.shape[1] == m.shape[2] and m.shape[0] * m.shape[1] == 1 << k
+            else:
+                fits = m.shape == (1 << k, 1 << k)
+            if not fits:
                 raise ValueError(f"matrix shape {m.shape} does not match {k} target qubit(s)")
             defect = _unitarity_defect(m)
             if defect > UNITARY_ATOL:
@@ -172,11 +209,11 @@ class GateOp:
 
     def dagger(self) -> "GateOp":
         """Inverse gate, same wiring: the inverse permutation of a gather map,
-        the conjugate transpose of a dense matrix."""
+        the conjugate transpose of a dense matrix or of each block."""
         if self.matrix.ndim == 1:
             inverse = np.argsort(self.matrix)
         else:
-            inverse = self.matrix.conj().T
+            inverse = _conj_transpose(self.matrix)
         return GateOp(inverse, self.targets, self.controls, self.label)
 
     def remap(self, qubit_map: Sequence[int]) -> "GateOp":
@@ -190,6 +227,9 @@ class GateOp:
 
     def max_qubit(self) -> int:
         return max(list(self.targets) + [q for q, _ in self.controls])
+
+    def min_qubit(self) -> int:
+        return min(list(self.targets) + [q for q, _ in self.controls])
 
     def __repr__(self) -> str:
         name = self.label or f"{1 << len(self.targets)}x{1 << len(self.targets)}"
@@ -247,23 +287,56 @@ class Circuit:
         return iter(self._ops)
 
 
-def _apply_into(amps: np.ndarray, num_qubits: int, op: GateOp) -> None:
-    """Apply ``op`` in place to ``amps``, a writable flat complex128 array.
+def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None:
+    """Apply ``op`` in place to every row of ``rows``.
 
-    Fixing the controls by basic indexing and moving the targets to the
-    front are both views of ``amps``, so only the controlled subspace is
-    copied, once, into the (2**k, rest) block the gate acts on.
+    ``rows`` is a writable (R, 2**(num_qubits - top)) complex128 array whose
+    columns index qubits top .. num_qubits-1; ``op`` touches none of the
+    qubits 0 .. top-1.  Fixing the controls by basic indexing and moving
+    the targets to the front are both views of ``rows``, so only the
+    controlled subspace is copied, once, into the (2**k, rest) block the
+    gate acts on.
     """
-    index = [slice(None)] * num_qubits
+    index = [slice(None)] * (num_qubits - top + 1)
     for cq, pol in op.controls:
-        index[cq] = pol
-    sub = amps.reshape((2,) * num_qubits)[tuple(index)]
-    # each fixed control before a target removes one axis ahead of it
-    axes = [t - sum(cq < t for cq, _ in op.controls) for t in op.targets]
+        index[cq - top + 1] = pol
+    sub = rows.reshape((rows.shape[0],) + (2,) * (num_qubits - top))[tuple(index)]
+    # axis 0 is the row; each fixed control before a target removes one axis ahead of it
+    axes = [t - top + 1 - sum(cq < t for cq, _ in op.controls) for t in op.targets]
     sub = np.moveaxis(sub, axes, range(len(axes)))
     flat = sub.reshape(1 << len(axes), -1)
     gate = op.matrix
-    sub[...] = (flat[gate] if gate.ndim == 1 else gate @ flat).reshape(sub.shape)
+    if gate.ndim == 1:
+        new = flat[gate]
+    elif gate.ndim == 2:
+        new = gate @ flat
+    else:
+        new = gate @ flat.reshape(gate.shape[0], gate.shape[1], -1)
+    sub[...] = new.reshape(sub.shape)
+
+
+def _evolve(amps: np.ndarray, num_qubits: int, ops: Sequence[GateOp]) -> np.ndarray:
+    """A new flat buffer holding ``ops`` applied in order to ``amps``.
+
+    Only the live rows of the qubits the ops leave untouched are copied and
+    worked on (see the module docstring); ``amps`` is never written.
+    """
+    top = min((op.min_qubit() for op in ops), default=num_qubits)
+    rows = amps.reshape(1 << top, -1)
+    live = np.flatnonzero(np.any(rows, axis=1))
+    lo, hi = live[0], live[-1] + 1  # a unit-norm state has a live row
+    gathered = hi - lo != live.size
+    out = np.zeros(rows.shape, dtype=np.complex128)
+    if gathered:
+        block = rows[live]
+    else:
+        block = out[lo:hi]  # a view: the ops write straight into out
+        block[...] = rows[lo:hi]
+    for op in ops:
+        _apply_into(block, num_qubits, top, op)
+    if gathered:
+        out[live] = block
+    return out.reshape(-1)
 
 
 def apply(state: StateVector, op: GateOp) -> StateVector:
@@ -271,9 +344,7 @@ def apply(state: StateVector, op: GateOp) -> StateVector:
     q = state.num_qubits
     if op.max_qubit() >= q:
         raise ValueError(f"gate touches qubit {op.max_qubit()} but state has {q} qubits")
-    amps = state.amps.copy()
-    _apply_into(amps, q, op)
-    return StateVector(amps)
+    return StateVector._owned(_evolve(state.amps, q, (op,)))
 
 
 def run(state: StateVector, circuit: Circuit) -> StateVector:
@@ -282,10 +353,7 @@ def run(state: StateVector, circuit: Circuit) -> StateVector:
         raise ValueError(
             f"circuit width {circuit.num_qubits} does not match state width {state.num_qubits}"
         )
-    amps = state.amps.copy()
-    for op in circuit:
-        _apply_into(amps, state.num_qubits, op)
-    return StateVector(amps)
+    return StateVector._owned(_evolve(state.amps, state.num_qubits, circuit.ops))
 
 
 def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, StateVector]:
@@ -309,7 +377,7 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, St
         )
     collapsed = np.zeros_like(split)
     collapsed[:, outcome, :] = kept / math.sqrt(prob)
-    return prob, StateVector(collapsed)
+    return prob, StateVector._owned(collapsed)
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:

@@ -9,12 +9,23 @@ from fractions import Fraction
 
 import numpy as np
 
+from qpcasim import Circuit, ry, state_prep_tree
+
 
 def gate_matrix(op) -> np.ndarray:
     """The 2**k x 2**k matrix of a GateOp's targets; a gather map g becomes
-    the permutation matrix with M[i, g[i]] = 1."""
+    the permutation matrix with M[i, g[i]] = 1, a (B, d, d) block stack the
+    block-diagonal matrix with block j on rows and columns j*d .. j*d+d-1."""
     if op.matrix.ndim == 2:
         return op.matrix
+    if op.matrix.ndim == 3:
+        blocks, d, _ = op.matrix.shape
+        out = np.zeros((blocks * d, blocks * d), dtype=complex)
+        for j in range(blocks):
+            for r in range(d):
+                for c in range(d):
+                    out[j * d + r, j * d + c] = op.matrix[j, r, c]
+        return out
     size = op.matrix.size
     out = np.zeros((size, size), dtype=complex)
     for i in range(size):
@@ -48,6 +59,25 @@ def dense_operator(op, num_qubits: int) -> np.ndarray:
                 dst = (dst << 1) | b
             full[dst, src] = amp
     return full
+
+
+def state_prep_reference(vector, qubits=None, num_qubits=None):
+    """Binary-tree state preparation with one multi-controlled Ry per tree
+    node, the controls spelling out the path from the root; zero-angle
+    nodes are dropped."""
+    tree = state_prep_tree(vector)
+    m = len(tree.level_angles)
+    qubits = tuple(range(m)) if qubits is None else tuple(qubits)
+    circ = Circuit(max(qubits) + 1 if num_qubits is None else num_qubits)
+    for level, thetas in enumerate(tree.level_angles):
+        for node, theta in enumerate(thetas):
+            if theta == 0.0:
+                continue
+            controls = tuple(
+                (qubits[b], (node >> (level - 1 - b)) & 1) for b in range(level)
+            )
+            circ.append(ry(float(theta), qubits[level], controls=controls))
+    return circ
 
 
 def filter_permutation_matrix(table) -> np.ndarray:

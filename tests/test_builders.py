@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import dft_matrix, random_state
+from helpers import dft_matrix, random_state, state_prep_reference
 from qpcasim import (
     PhaseEstimationSpec,
     SpectralPrecisionWarning,
@@ -204,6 +204,32 @@ class TestStatePrep:
             vec /= np.linalg.norm(vec)
             got = run(StateVector.zero(m), build_state_prep(vec)).amps
             assert np.max(np.abs(got - vec)) < 1e-8
+
+    def test_matches_per_node_builder(self):
+        # one uniformly controlled Ry per level against one multi-controlled
+        # Ry per tree node, on signed vectors with zeroed entries and subtrees
+        rng = np.random.default_rng(71)
+        for m in range(1, 9):
+            for zeros in (0, 1 << (m - 1), (1 << m) - 1):
+                vec = rng.standard_normal(1 << m)
+                vec[rng.permutation(1 << m)[:zeros]] = 0.0
+                if m > 2:
+                    vec[: 1 << (m - 2)] = 0.0  # a whole zero subtree
+                if not np.any(vec):
+                    vec[-1] = -0.5
+                circ = build_state_prep(vec)
+                ref = state_prep_reference(vec)
+                assert len(circ) <= m
+                for op in circ:
+                    level = len(op.targets) - 1
+                    assert op.targets == tuple(range(level + 1))
+                    assert op.matrix.shape == (1 << level, 2, 2)
+                got = run(StateVector.zero(m), circ).amps
+                want = run(StateVector.zero(m), ref).amps
+                assert np.max(np.abs(got - want)) < 1e-12
+                assert np.max(np.abs(got - vec / np.linalg.norm(vec))) < 1e-12
+                if m <= 4:
+                    assert np.max(np.abs(circuit_unitary(circ) - circuit_unitary(ref))) < 1e-12
 
     def test_tree_masses_and_angles_consistent(self):
         rng = np.random.default_rng(43)

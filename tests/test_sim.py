@@ -46,6 +46,15 @@ class TestStateVector:
         with pytest.raises(ValueError, match="finite"):
             StateVector([np.nan, 0.0])
 
+    def test_owned_buffer_is_checked_not_copied(self):
+        buf = np.zeros(4, dtype=np.complex128)
+        buf[2] = 1.0
+        s = StateVector._owned(buf)
+        assert np.shares_memory(s.amps, buf) and not s.amps.flags.writeable
+        for bad in ([1.0, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                StateVector._owned(np.array(bad, dtype=np.complex128))
+
     def test_amps_frozen(self):
         s = StateVector.zero(2)
         with pytest.raises(ValueError):
@@ -134,6 +143,51 @@ class TestGateOp:
         inv = op.dagger()
         assert inv.controls == op.controls and inv.targets == op.targets
         assert np.array_equal(gate_matrix(op) @ gate_matrix(inv), np.eye(16))
+
+    def test_block_gate_expands_to_block_diagonal(self):
+        x = np.array([[0, 1], [1, 0]])
+        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        op = GateOp(np.stack([x, h]), (0, 1))
+        want = np.zeros((4, 4))
+        want[:2, :2], want[2:, 2:] = x, h
+        assert op.matrix.shape == (2, 2, 2)
+        assert np.max(np.abs(gate_matrix(op) - want)) < 1e-15
+
+    def test_block_gate_and_dagger_match_dense_operator(self):
+        # random block stacks of every split of k targets into (block
+        # selectors, acted-on qubits), controlled with mixed polarities
+        rng = np.random.default_rng(59)
+        for _ in range(40):
+            q = int(rng.integers(1, 6))
+            k = int(rng.integers(1, min(3, q) + 1))
+            d = 1 << int(rng.integers(0, k + 1))
+            wires = [int(w) for w in rng.permutation(q)]
+            n_ctrl = int(rng.integers(0, q - k + 1))
+            controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
+            blocks = np.stack([random_unitary(rng, d) for _ in range((1 << k) // d)])
+            op = GateOp(blocks, tuple(wires[:k]), controls)
+            inv = op.dagger()
+            assert inv.matrix.shape == blocks.shape
+            vec = random_state(rng, q)
+            full = dense_operator(op, q)
+            assert np.max(np.abs(apply(StateVector(vec), op).amps - full @ vec)) < 1e-12
+            assert np.max(np.abs(dense_operator(inv, q) - full.conj().T)) < 1e-12
+            assert np.max(np.abs(apply(StateVector(vec), inv).amps - full.conj().T @ vec)) < 1e-12
+
+    def test_non_unitary_block_rejected(self):
+        blocks = np.stack([np.eye(2), [[1, 0], [0, 2]]])
+        with pytest.raises(NonUnitaryMatrixError):
+            GateOp(blocks, (0, 1))
+
+    def test_block_shape_mismatch_rejected(self):
+        # the blocks must be square and together span exactly the targets
+        for blocks, targets in (
+            (np.stack([np.eye(2)] * 2), (0,)),
+            (np.stack([np.eye(2)] * 4), (0, 1)),
+            (np.ones((1, 2, 4)), (0, 1)),
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                GateOp(blocks, targets)
 
     def test_bare_int_control_means_polarity_one(self):
         op = pauli_x(1, controls=(0,))
@@ -228,6 +282,80 @@ class TestApply:
         run(s, Circuit(4, [op, pauli_x(3, controls=((2, 1),)), op.dagger()]))
         assert np.array_equal(s.amps, vec)
         assert not s.amps.flags.writeable
+
+
+def _random_op(rng, wires):
+    """A dense, gather-map or block gate on 1-3 of ``wires``, controlled
+    with mixed polarities by some of the rest."""
+    wires = [int(w) for w in rng.permutation(wires)]
+    k = int(rng.integers(1, min(3, len(wires)) + 1))
+    n_ctrl = int(rng.integers(0, len(wires) - k + 1))
+    controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        gate = random_unitary(rng, 1 << k)
+    elif kind == 1:
+        gate = rng.permutation(1 << k)
+    else:
+        d = 1 << int(rng.integers(0, k + 1))
+        gate = np.stack([random_unitary(rng, d) for _ in range((1 << k) // d)])
+    return GateOp(gate, tuple(wires[:k]), controls)
+
+
+class TestLiveRows:
+    """``run`` works only on the nonzero rows of the qubits its circuit
+    leaves untouched; the result must not depend on which rows those are."""
+
+    @staticmethod
+    def _zero_row_sets(rng, num_rows):
+        # none; one (an inner row when there is one); a non-contiguous set;
+        # every row but one
+        inner = int(rng.integers(1, num_rows - 1)) if num_rows > 2 else 0
+        spread = [r for r in range(num_rows) if r % 2 == 0 and r != num_rows - 1]
+        survivor = int(rng.integers(0, num_rows))
+        return (
+            [],
+            [inner],
+            spread,
+            [r for r in range(num_rows) if r != survivor],
+        )
+
+    def test_matches_dense_product_for_every_zero_row_pattern(self):
+        rng = np.random.default_rng(61)
+        gathered = 0
+        for _ in range(25):
+            q = int(rng.integers(3, 7))
+            top = int(rng.integers(1, q - 1))
+            ops = [_random_op(rng, range(top, q)) for _ in range(int(rng.integers(1, 7)))]
+            circuit = Circuit(q, ops)
+            unitary = np.eye(1 << q)
+            for op in circuit:
+                unitary = dense_operator(op, q) @ unitary
+            for zero_rows in self._zero_row_sets(rng, 1 << top):
+                vec = random_state(rng, q).reshape(1 << top, -1)
+                vec[zero_rows] = 0.0
+                vec = (vec / np.linalg.norm(vec)).reshape(-1)
+                s = StateVector(vec)
+                got = run(s, circuit).amps
+                assert np.max(np.abs(got - unitary @ vec)) < 1e-12
+                assert np.all(got.reshape(1 << top, -1)[zero_rows] == 0)
+                assert np.array_equal(s.amps, vec)
+                live = np.flatnonzero(np.any(vec.reshape(1 << top, -1), axis=1))
+                gathered += live[-1] - live[0] + 1 != live.size
+        assert gathered > 0
+
+    def test_nan_in_a_zero_row_is_rejected(self):
+        # a NaN is not zero: its row is live, the NaN survives the gates and
+        # the output check rejects it
+        s = StateVector.basis(4, 0)
+        bad = s.amps.copy()
+        bad[13] = np.nan  # row 3 of qubits 0-1, otherwise zero
+        s._amps = bad
+        circuit = Circuit(4, [hadamard(2), pauli_x(3, controls=((2, 1),))])
+        with pytest.raises(ValueError, match="finite"):
+            run(s, circuit)
+        with pytest.raises(ValueError, match="finite"):
+            apply(s, hadamard(3))
 
 
 class TestCircuit:
