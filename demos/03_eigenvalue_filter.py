@@ -29,8 +29,9 @@ from qpcasim import (
 z = newton_reciprocal(FixedPoint.integer(3, bits=8), iters=5)
 print(f"1/3 ~ {z.raw}/{1 << z.frac} = {z.value:.6f}")
 
-# Tables over a 2-bit register.  tau = 1.8 rounds to 7/4 on the register
-# grid, so the kept set is {2, 3}, same as for tau = 1.
+# Tables over a 2-bit register.  The kept set is every lambda above the exact
+# tau, {2, 3} for tau = 1.8 as for tau = 1; only the y values use tau rounded
+# to the register grid, 7/4.
 for tau in (1.0, 1.8, 0.5):
     table = build_filter_table(FilterParams(tau=tau, n_bits=2))
     ys = [table.y_value(lam) for lam in range(4)]

@@ -11,7 +11,7 @@ components pass and the input state comes straight back.
 
 import numpy as np
 
-from qpcasim import HermitianInput, QpcaConfig, classical_pca_oracle, run_qpca
+from qpcasim import FilterParams, HermitianInput, QpcaConfig, classical_pca_oracle, run_qpca
 
 A = HermitianInput.from_matrix([[1.5, 0.5], [0.5, 1.5]])
 print("eigenvalues:", A.eigenvalues)
@@ -19,7 +19,7 @@ print("encoded input:", np.round(A.amplitude_encoding, 4))
 
 for tau in (1.0, 0.8):
     result = run_qpca(A, QpcaConfig(tau=tau, n_bits=2))
-    t, expected = classical_pca_oracle(A, tau)
+    t, expected = classical_pca_oracle(A, FilterParams(tau, 2))
     print(f"\ntau = {tau}")
     print("  kept components:", result.kept_count, " eigenvalues:", result.kept_eigenvalues)
     print("  success probability:", round(result.success_prob, 6))

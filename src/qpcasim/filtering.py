@@ -2,9 +2,9 @@
 
 The filter maps an n-bit eigenvalue register value lambda to an n-bit
 shrinkage coefficient y = (1 - tau/lambda) clamped below at 0, computed via a
-Newton-iteration reciprocal.  Components with lambda <= tau get y = 0 and are
-discarded by the pipeline's ancilla flip; everything else gets y > 0.  Only
-the zero/nonzero distinction feeds the pipeline (the y register is
+Newton-iteration reciprocal.  Components that ``FilterParams.keeps`` drops get
+y = 0 and are discarded by the pipeline's ancilla flip; kept ones get y > 0.
+Only the zero/nonzero distinction feeds the pipeline (the y register is
 uncomputed), but y values are still produced at full register precision so
 the table can be checked against the real-valued shrinkage map.
 """
@@ -19,6 +19,9 @@ import numpy as np
 from .layout import RegisterLayout
 from .sim import Circuit, GateOp, cphase
 from .builders import build_qft
+
+# Eigenvalues this close to an integer land exactly on that register value.
+SPECTRUM_ATOL = 1e-6
 
 
 class ZeroEigenvalue(Exception):
@@ -115,9 +118,9 @@ def shrink(lam: float, tau: float) -> float:
 class FilterParams:
     """Threshold and register width for the filter.
 
-    ``tau`` is rounded to the register grid (``n_bits`` fractional bits) and
-    the kept set is decided against the rounded value, mirroring what an
-    n-bit comparator would see.
+    ``keeps`` is the one threshold test, shared by the filter table, the
+    pipeline's kept list and the classical oracle.  ``tau_fixed`` (tau on the
+    ``n_bits``-fractional-bit grid) is only the y arithmetic's operand.
     """
 
     tau: float
@@ -146,14 +149,24 @@ class FilterParams:
     def tau_fixed(self) -> FixedPoint:
         return FixedPoint.from_real(self.tau, self.frac_bits)
 
+    def keeps(self, lam: float) -> bool:
+        """lam > tau, reading lam within ``SPECTRUM_ATOL`` of an integer as the
+        register value it lands on, round(lam) mod 2**n_bits.  Those values
+        are integers, so this is lam > floor(tau), as an n-bit comparator decides.
+        """
+        reg = round(float(lam))
+        if abs(lam - reg) <= SPECTRUM_ATOL:
+            lam = reg % (1 << self.n_bits)
+        return lam > self.tau
+
 
 @dataclass(frozen=True, eq=False)
 class FilterTable:
     """Lookup lambda_raw -> y_raw over all 2**n_bits register values.
 
-    Invariants checked at construction: y == 0 exactly on lambda <= rounded
-    tau, and y is nondecreasing on the kept side (larger eigenvalues shrink
-    less).
+    Invariants checked at construction: y == 0 exactly where
+    ``params.keeps(lambda)`` is false, and y is nondecreasing on the kept
+    side (larger eigenvalues shrink less).
     """
 
     params: FilterParams
@@ -163,14 +176,13 @@ class FilterTable:
         n = self.params.n_bits
         if len(self.y_raws) != (1 << n):
             raise ValueError(f"table needs {1 << n} entries, got {len(self.y_raws)}")
-        tau_fx = self.params.tau_fixed.value
         last_kept = 0
         for lam, y in enumerate(self.y_raws):
             if not 0 <= y < (1 << n):
                 raise ValueError(f"y value {y} does not fit the {n}-bit register")
-            if (y > 0) != (lam > tau_fx):
+            if (y > 0) != self.params.keeps(lam):
                 raise ValueError(
-                    f"threshold dichotomy violated at lambda={lam}: y={y}, tau={tau_fx}"
+                    f"threshold dichotomy violated at lambda={lam}: y={y}, tau={self.params.tau}"
                 )
             if y > 0:
                 if y < last_kept:
@@ -198,17 +210,17 @@ class FilterTable:
 def build_filter_table(params: FilterParams) -> FilterTable:
     """Tabulate y(lambda) = 1 - tau/lambda over the register, in fixed point.
 
-    The lambda <= tau side is routed straight to 0 (no reciprocal needed);
-    the kept side uses the Newton reciprocal and is clamped into [1, 2**n - 1]
-    so that rounding can neither drop a kept component to zero nor overflow
-    the y register.
+    Dropped values go straight to 0 (no reciprocal needed); the kept side
+    uses the Newton reciprocal against the grid-rounded tau, clamped into
+    [1, 2**n - 1] so that rounding can neither drop a kept component to zero
+    (tau may round up onto it) nor overflow the y register.
     """
     n = params.n_bits
     f = params.frac_bits
     tau_fx = params.tau_fixed.value
     y_raws = []
     for lam in range(1 << n):
-        if lam <= tau_fx:
+        if not params.keeps(lam):
             y_raws.append(0)
             continue
         z = newton_reciprocal(FixedPoint.integer(lam, n), params.iterations, frac_bits=f)
@@ -224,17 +236,14 @@ def exact_shrink_table(params: FilterParams) -> FilterTable:
     the reciprocal path; the pipeline output must not change at all, since
     only the zero/nonzero pattern of y survives uncomputation.
     """
-    n = params.n_bits
-    f = params.frac_bits
-    tau_fx = params.tau_fixed.value
-    y_raws = []
-    for lam in range(1 << n):
-        s = shrink(float(lam), tau_fx) if lam else 0.0
-        if s <= 0.0:
-            y_raws.append(0)
-        else:
-            y_raws.append(min((1 << f) - 1, max(1, math.ceil(s * (1 << f)))))
-    return FilterTable(params=params, y_raws=tuple(y_raws))
+    scale = 1 << params.frac_bits
+    y_raws = tuple(
+        min(scale - 1, max(1, math.ceil(shrink(lam, params.tau) * scale)))
+        if params.keeps(lam)
+        else 0
+        for lam in range(1 << params.n_bits)
+    )
+    return FilterTable(params=params, y_raws=y_raws)
 
 
 def build_filter_unitary(table: FilterTable, layout: RegisterLayout) -> GateOp:

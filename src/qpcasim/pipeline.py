@@ -5,8 +5,8 @@ the state sum_k sigma_k |u_k>|u_k> (sigma_k = lambda_k / ||A||_F), estimates
 eigenvalues into a register, writes a shrinkage coefficient y(lambda) into a
 second register, flips an ancilla wherever y != 0, uncomputes both registers,
 and post-selects the ancilla.  What survives is the eigenvalue-thresholded
-state  sum_{lambda_k > tau} sigma_k |u_k>|u_k>  up to normalization; a second
-phase estimation then re-reads the surviving eigenvalues.
+state  sum_{k kept} sigma_k |u_k>|u_k>  up to normalization, kept meaning
+``FilterParams.keeps``; a second phase estimation re-reads the kept eigenvalues.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from .builders import (
     build_state_prep,
 )
 from .complexity import cost_proposed
-from .filtering import FilterParams, FilterTable, build_filter_table, build_filter_unitary
+from .filtering import (
+    SPECTRUM_ATOL,
+    FilterParams,
+    FilterTable,
+    build_filter_table,
+    build_filter_unitary,
+)
 from .layout import RegisterLayout
 from .sim import (
     Circuit,
@@ -40,7 +46,8 @@ from .sim import (
 UNCOMPUTE_ATOL = 1e-9
 
 # Widest register run_qpca simulates.  One 2**24-amplitude complex128 state
-# copy is 256 MiB, and applying a gate holds a few copies at once.
+# is 256 MiB; every stage writes a new state beside its input, and phase
+# estimation 2 runs with the pre-selection and post-selected states alive.
 MAX_QUBITS = 24
 
 
@@ -143,17 +150,15 @@ class QpcaResult:
     counts: dict[int, int] | None = None
 
 
-def classical_pca_oracle(hin: HermitianInput, tau: float) -> tuple[int, np.ndarray]:
-    """Brute-force reference: keep eigenpairs with lambda > tau, renormalize.
+def classical_pca_oracle(hin: HermitianInput, params: FilterParams) -> tuple[int, np.ndarray]:
+    """Brute-force reference: keep eigenpairs ``params.keeps``, renormalize.
 
     Returns (number kept, expected data-register state).  Raises
     ``AllComponentsFiltered`` when nothing survives.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    kept = [k for k, lam in enumerate(hin.eigenvalues) if lam > tau]
+    kept = [k for k, lam in enumerate(hin.eigenvalues) if params.keeps(lam)]
     if not kept:
-        raise AllComponentsFiltered(f"no eigenvalue exceeds tau={tau}")
+        raise AllComponentsFiltered(f"no eigenvalue exceeds tau={params.tau}")
     vec = np.zeros(hin.dim * hin.dim)
     for k in kept:
         u = hin.eigenvectors[:, k]
@@ -214,14 +219,6 @@ def uncompute(
     return state
 
 
-def second_phase_estimation(
-    state: StateVector, spec: PhaseEstimationSpec, layout: RegisterLayout
-) -> StateVector:
-    """Re-read eigenvalues of the surviving components into the lambda register."""
-    pe = build_phase_estimation(spec, layout.lambda_reg, layout.u_reg, layout.num_qubits)
-    return run(state, pe)
-
-
 def lambda_register_histogram(state: StateVector, layout: RegisterLayout) -> dict[int, float]:
     """Marginal probability of each lambda-register value, zeros dropped."""
     mass = layout.view(state.probabilities()).sum(axis=(0, 1, 3))
@@ -242,8 +239,8 @@ def run_qpca(
 ) -> QpcaResult:
     """Simulate the full filtering pipeline on ``hin``.
 
-    ``filter_table`` overrides the Newton-built table (same threshold
-    semantics required); used to check that reciprocal rounding never leaks
+    ``filter_table`` overrides the Newton-built table (its tau and n_bits
+    must match ``config``); used to check that reciprocal rounding never leaks
     into the output.  Exact mode reports the post-selected amplitudes
     directly; sampled mode measures the pre-selection state ``config.shots``
     times, keeps ancilla-1 shots, and estimates amplitude magnitudes as
@@ -257,7 +254,7 @@ def run_qpca(
 
     Raises ``ZeroProbabilityOutcome`` when every component is filtered out,
     and ``ValueError`` before any state is built when the register needs
-    more than ``MAX_QUBITS`` qubits.
+    more than ``MAX_QUBITS`` qubits or ``filter_table`` does not match.
     """
     layout = make_layout(hin, config.n_bits)
     if layout.num_qubits > MAX_QUBITS:
@@ -268,8 +265,7 @@ def run_qpca(
             f"the limit is {MAX_QUBITS} qubits"
         )
 
-    rounded = np.round(hin.eigenvalues)
-    exact_spectrum = bool(np.max(np.abs(hin.eigenvalues - rounded)) <= 1e-6)
+    exact_spectrum = all(abs(lam - round(lam)) <= SPECTRUM_ATOL for lam in hin.eigenvalues)
     if not exact_spectrum:
         warnings.warn(
             "spectrum is not integer; register readout is approximate and the "
@@ -280,18 +276,13 @@ def run_qpca(
     pe_spec = PhaseEstimationSpec(hin.matrix, config.n_bits)
     if filter_table is None:
         filter_table = build_filter_table(FilterParams(config.tau, config.n_bits))
-
-    kept_eigenvalues = []
-    for lam in hin.eigenvalues:
-        reg = int(round(float(lam)))
-        if abs(lam - reg) <= 1e-6:
-            # integer eigenvalues land on register value reg mod 2**n, which
-            # is what the filter actually sees
-            kept = filter_table.y_raw(reg % (1 << config.n_bits)) > 0
-        else:
-            kept = lam > config.tau
-        if kept:
-            kept_eigenvalues.append(float(lam))
+    params = filter_table.params
+    if (params.tau, params.n_bits) != (config.tau, config.n_bits):
+        raise ValueError(
+            f"filter table is for tau={params.tau}, n_bits={params.n_bits}; "
+            f"config has tau={config.tau}, n_bits={config.n_bits}"
+        )
+    kept_eigenvalues = tuple(float(lam) for lam in hin.eigenvalues if params.keeps(lam))
 
     prep = build_state_prep(
         hin.amplitude_encoding, qubits=layout.data_reg, num_qubits=layout.num_qubits
@@ -327,7 +318,7 @@ def run_qpca(
     output_amps = amps.real.copy()
 
     try:
-        _, expected = classical_pca_oracle(hin, config.tau)
+        _, expected = classical_pca_oracle(hin, params)
     except AllComponentsFiltered:
         expected = None
 
@@ -347,14 +338,13 @@ def run_qpca(
 
     fid = 0.0 if expected is None else fidelity(output_amps, expected)
 
-    second = second_phase_estimation(collapsed, pe_spec, layout)
-    histogram = lambda_register_histogram(second, layout)
+    histogram = lambda_register_histogram(run(collapsed, pe), layout)
 
     result = QpcaResult(
         success_prob=success_prob,
         output_amps=output_amps,
         kept_count=len(kept_eigenvalues),
-        kept_eigenvalues=tuple(kept_eigenvalues),
+        kept_eigenvalues=kept_eigenvalues,
         lambda_histogram=histogram,
         fidelity=fid,
         total_gates=cost_proposed(config.n_bits, layout.data_qubits).total,

@@ -145,6 +145,15 @@ def newton_reciprocal_fraction(lam: int, iters: int, frac_bits: int) -> int:
     return round(z * (1 << frac_bits))
 
 
+def matrix_with_spectrum(rng, lams) -> np.ndarray:
+    """Symmetrised Q diag(lams) Q^T for a random orthogonal Q drawn from rng."""
+    dim = len(lams)
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.sign(np.diagonal(r))
+    mat = (q * np.asarray(lams)) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
 def random_integer_spectrum_matrix(rng, dim: int, n_bits: int, tau: float):
     """Random symmetric matrix with integer eigenvalues in [0, 2**n_bits),
     at least one of them above tau.  Returns (matrix, eigenvalues)."""
@@ -153,8 +162,4 @@ def random_integer_spectrum_matrix(rng, dim: int, n_bits: int, tau: float):
         lams = rng.integers(0, top, size=dim)
         if lams.max() > tau and lams.max() > 0:
             break
-    g = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diagonal(r))
-    mat = (q * lams) @ q.T
-    return 0.5 * (mat + mat.T), np.sort(lams)[::-1].astype(float)
+    return matrix_with_spectrum(rng, lams), np.sort(lams)[::-1].astype(float)

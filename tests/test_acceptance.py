@@ -135,7 +135,7 @@ def test_criterion_7():
         hin = HermitianInput.from_matrix(mat)
         tau = float(rng.integers(0, int(lams.max()))) + 0.5
         try:
-            t, expected = classical_pca_oracle(hin, tau)
+            t, expected = classical_pca_oracle(hin, FilterParams(tau, n))
         except AllComponentsFiltered:
             continue
         r = run_qpca(hin, QpcaConfig(tau=tau, n_bits=n))

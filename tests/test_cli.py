@@ -144,6 +144,19 @@ class TestRunCommand:
         est = np.array(doc["output_amplitudes"])
         assert abs(est[15] - 3 / np.sqrt(13)) < 0.03
 
+    def test_off_grid_tau_keeps_integer_eigenvalue(self, tmp_path):
+        # tau = 2.9 rounds to 3.0 on the 2-bit grid; lambda = 3 is still kept
+        matrix = tmp_path / "d31.csv"
+        matrix.write_text("3,0\n0,1\n")
+        out = tmp_path / "result.json"
+        code = main(["run", "--matrix", str(matrix), "--tau", "2.9", "--eig-bits", "2",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["kept_eigenvalues"] == [3.0]
+        assert doc["success_probability"] == 0.9
+        assert doc["fidelity_vs_classical"] == 1.0
+
     def test_all_filtered_exits_three(self, c_path, tmp_path, capsys):
         code = main(["run", "--matrix", c_path, "--tau", "9.0", "--eig-bits", "2",
                      "--out", str(tmp_path / "x.json")])

@@ -136,6 +136,17 @@ class TestFilterParams:
         assert FilterParams(tau=1.0, n_bits=2).iterations == 3
         assert FilterParams(tau=1.0, n_bits=2, newton_iters=7).iterations == 7
 
+    def test_keeps_compares_register_values_with_exact_tau(self):
+        p = FilterParams(tau=2.9, n_bits=2)  # tau_fixed rounds up to 3.0
+        assert p.keeps(3) and p.keeps(3.0 - 1e-9) and not p.keeps(2)
+        assert not FilterParams(tau=1.0, n_bits=4).keeps(1.0 + 2.4e-15)
+        assert FilterParams(tau=1.0, n_bits=4).keeps(1.0 + 2e-6)  # not integer: as is
+
+    def test_keeps_wraps_integers_onto_the_register(self):
+        p = FilterParams(tau=0.5, n_bits=2)
+        assert [p.keeps(lam) for lam in (4, 5, -1, -3.0)] == [False, True, True, True]
+        assert not p.keeps(-0.2)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="tau"):
             FilterParams(tau=0.0, n_bits=2)
@@ -169,13 +180,16 @@ class TestFilterTable:
         assert table.y_raw(2) > 0 and table.y_raw(3) > 0
 
     def test_threshold_dichotomy_exhaustive(self):
-        # y > 0 exactly when lambda > rounded tau, for every representable
-        # threshold on 2-to-4-bit registers
+        # y > 0 exactly when lambda > tau, on 2-to-4-bit registers, for every
+        # threshold on a grid four times finer than the register's: tau on
+        # the grid and between its points, where tau_fixed rounds to either side
         for n in (2, 3, 4):
-            for tau in tau_grid(n, (1 << n) - Fraction(1, 1 << n)):
-                table = build_filter_table(FilterParams(tau=float(tau), n_bits=n))
+            for tau in tau_grid(n + 2, (1 << n) - Fraction(1, 1 << (n + 2))):
+                params = FilterParams(tau=float(tau), n_bits=n)
+                table = build_filter_table(params)
                 for lam in range(1 << n):
                     assert (table.y_raw(lam) > 0) == (Fraction(lam) > tau), (n, tau, lam)
+                assert exact_shrink_table(params).kept_values == table.kept_values
 
     def test_agreement_with_real_shrink(self):
         # |y/2**f - shrink(lambda, tau)| <= 2**-(f-1) on the kept side, for

@@ -2,8 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import flip_permutation_matrix, gate_matrix, random_integer_spectrum_matrix
+from helpers import (
+    flip_permutation_matrix,
+    gate_matrix,
+    matrix_with_spectrum,
+    random_integer_spectrum_matrix,
+)
 from qpcasim import (
     AllComponentsFiltered,
     FilterParams,
@@ -28,7 +35,6 @@ from qpcasim import (
     post_select,
     run,
     run_qpca,
-    second_phase_estimation,
     uncompute,
 )
 
@@ -81,19 +87,19 @@ class TestHermitianInput:
 class TestClassicalOracle:
     def test_keeps_top_component(self, matrix_a):
         hin = HermitianInput.from_matrix(matrix_a)
-        t, vec = classical_pca_oracle(hin, tau=1.0)
+        t, vec = classical_pca_oracle(hin, FilterParams(1.0, 2))
         assert t == 1
         assert np.max(np.abs(vec - 0.5)) < 1e-12
 
     def test_keeps_both_components(self, matrix_a):
         hin = HermitianInput.from_matrix(matrix_a)
-        t, vec = classical_pca_oracle(hin, tau=0.8)
+        t, vec = classical_pca_oracle(hin, FilterParams(0.8, 2))
         assert t == 2
         assert np.max(np.abs(vec - hin.amplitude_encoding)) < 1e-12
 
     def test_diagonal_matrix(self, matrix_c):
         hin = HermitianInput.from_matrix(matrix_c)
-        t, vec = classical_pca_oracle(hin, tau=1.8)
+        t, vec = classical_pca_oracle(hin, FilterParams(1.8, 2))
         assert t == 2
         want = np.zeros(16)
         want[10], want[15] = 2 / np.sqrt(13), 3 / np.sqrt(13)
@@ -102,7 +108,7 @@ class TestClassicalOracle:
     def test_nothing_survives(self, matrix_c):
         hin = HermitianInput.from_matrix(matrix_c)
         with pytest.raises(AllComponentsFiltered):
-            classical_pca_oracle(hin, tau=5.0)
+            classical_pca_oracle(hin, FilterParams(5.0, 2))
 
 
 class TestFidelity:
@@ -195,7 +201,8 @@ class TestPipelineStages:
         state, layout = pipeline_before_measurement(hin, tau=1.8, n_bits=2)
         _, kept = post_select(state, layout.ancilla, 1)
         spec = PhaseEstimationSpec(hin.matrix, 2)
-        hist = lambda_register_histogram(second_phase_estimation(kept, spec, layout), layout)
+        pe = build_phase_estimation(spec, layout.lambda_reg, layout.u_reg, layout.num_qubits)
+        hist = lambda_register_histogram(run(kept, pe), layout)
         assert set(hist) == {2, 3}
         assert abs(hist[2] - 4 / 13) < 1e-9
         assert abs(hist[3] - 9 / 13) < 1e-9
@@ -274,7 +281,7 @@ class TestRunQpca:
             hin = HermitianInput.from_matrix(mat)
             tau = float(rng.integers(0, int(lams.max()))) + 0.5
             try:
-                t, expected = classical_pca_oracle(hin, tau)
+                t, expected = classical_pca_oracle(hin, FilterParams(tau, n))
             except AllComponentsFiltered:
                 continue
             r = run_qpca(hin, QpcaConfig(tau=tau, n_bits=n))
@@ -331,6 +338,87 @@ class TestRunQpca:
         hin = HermitianInput.from_matrix(np.eye(3))
         with pytest.raises(ValueError, match="power of two"):
             run_qpca(hin, QpcaConfig(tau=0.5, n_bits=2))
+
+    def test_off_grid_tau_keeps_integer_eigenvalue(self):
+        # tau = 2.9 rounds to 3.0 on the 2-bit grid; lambda = 3 is still kept
+        hin = HermitianInput.from_matrix(np.diag([3.0, 1.0]))
+        r = run_qpca(hin, QpcaConfig(tau=2.9, n_bits=2))
+        assert r.kept_eigenvalues == (3.0,)
+        assert abs(r.success_prob - 0.9) < 1e-9
+        assert abs(r.fidelity - 1.0) < 1e-9
+
+    def test_tau_at_eigenvalue_read_above_the_integer(self):
+        # eigh reads this input's lambda = 1 as 1 + 2.4e-15; at tau = 1 the
+        # filter drops it, and the oracle behind the fidelity must drop it too
+        rng = np.random.default_rng(20101009)
+        mat = matrix_with_spectrum(rng, [7.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 6.0])
+        result = run_qpca(HermitianInput.from_matrix(mat), QpcaConfig(tau=1.0, n_bits=4))
+        assert result.kept_count == 6
+        assert abs(result.fidelity - 1.0) < 1e-9
+
+    def test_rejects_mismatched_filter_table(self, matrix_a, monkeypatch):
+        class StateBuilt(Exception):
+            pass
+
+        def no_state(*_):
+            raise StateBuilt
+
+        monkeypatch.setattr(StateVector, "zero", no_state)
+        hin = HermitianInput.from_matrix(matrix_a)
+        config = QpcaConfig(tau=1.0, n_bits=2)
+        for tau, n_bits in ((1.5, 2), (1.0, 3)):
+            table = build_filter_table(FilterParams(tau, n_bits))
+            with pytest.raises(ValueError, match="filter table"):
+                run_qpca(hin, config, filter_table=table)
+        # a different Newton iteration count leaves the threshold alone
+        table = build_filter_table(FilterParams(1.0, 2, newton_iters=7))
+        with pytest.raises(StateBuilt):
+            run_qpca(hin, config, filter_table=table)
+
+
+@st.composite
+def threshold_cases(draw):
+    """(eigenvalues, tau, n_bits, seed): integer spectrum with repeats in
+    [0, 2**n), tau on the register grid, off it, or equal to an eigenvalue,
+    and always below the largest eigenvalue."""
+    n = draw(st.integers(2, 5))
+    dim = 1 << draw(st.integers(1, 4))
+    lams = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=dim, max_size=dim))
+    top = max(lams)
+    assume(top > 0)
+    kind = draw(st.sampled_from(["grid", "off-grid", "eigenvalue"]))
+    if kind == "grid":
+        tau = draw(st.integers(1, (top << n) - 1)) / (1 << n)
+    elif kind == "off-grid":
+        tau = draw(st.integers(0, top - 1)) + draw(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        )
+        assume(tau * (1 << n) != round(tau * (1 << n)))
+    else:
+        below_top = sorted({lam for lam in lams if 0 < lam < top})
+        assume(below_top)
+        tau = float(draw(st.sampled_from(below_top)))
+    return lams, tau, n, draw(st.integers(0, 2**32 - 1))
+
+
+class TestThresholdProperty:
+    # one dim-16, n = 5 call takes about 40 ms
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(threshold_cases())
+    def test_table_result_and_oracle_agree(self, case):
+        lams, tau, n, seed = case
+        hin = HermitianInput.from_matrix(matrix_with_spectrum(np.random.default_rng(seed), lams))
+        params = FilterParams(tau, n)
+        kept = sorted((lam for lam in lams if lam > tau), reverse=True)
+
+        table = build_filter_table(params)
+        assert sorted((lam for lam in lams if lam in table.kept_values), reverse=True) == kept
+        r = run_qpca(hin, QpcaConfig(tau=tau, n_bits=n))
+        assert [round(lam) for lam in r.kept_eigenvalues] == kept
+        assert classical_pca_oracle(hin, params)[0] == r.kept_count == len(kept)
+        assert r.fidelity >= 1 - 1e-9
+        want = sum(lam * lam for lam in kept) / sum(lam * lam for lam in lams)
+        assert abs(r.success_prob - want) < 1e-9
 
 
 class TestSampledMode:
