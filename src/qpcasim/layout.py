@@ -31,11 +31,19 @@ class RegisterLayout:
     def num_qubits(self) -> int:
         return 1 + 2 * self.eig_bits + self.data_qubits
 
-    def view(self, amps: np.ndarray) -> np.ndarray:
-        """``amps`` (or any per-basis-state array) reshaped to axes
-        (ancilla, y, lambda, data) of sizes (2, 2**n, 2**n, 2**m)."""
+    @property
+    def work_qubits(self) -> int:
+        """Qubits above the data register: the ancilla, y and lambda."""
+        return 1 + 2 * self.eig_bits
+
+    def split(self, index):
+        """Register values (ancilla, y, lambda, data) of basis-state indices,
+        given as an integer or an integer array."""
         size = 1 << self.eig_bits
-        return np.reshape(amps, (2, size, size, 1 << self.data_qubits))
+        rest, x = np.divmod(index, 1 << self.data_qubits)
+        rest, lam = np.divmod(rest, size)
+        anc, y = np.divmod(rest, size)
+        return anc, y, lam, x
 
     @property
     def ancilla(self) -> int:
@@ -51,8 +59,7 @@ class RegisterLayout:
 
     @property
     def data_reg(self) -> tuple[int, ...]:
-        start = 1 + 2 * self.eig_bits
-        return tuple(range(start, start + self.data_qubits))
+        return tuple(range(self.work_qubits, self.num_qubits))
 
     @property
     def u_reg(self) -> tuple[int, ...]:

@@ -45,9 +45,12 @@ from .sim import (
 
 UNCOMPUTE_ATOL = 1e-9
 
-# Widest register run_qpca simulates.  One 2**24-amplitude complex128 state
-# is 256 MiB; every stage writes a new state beside its input, and phase
-# estimation 2 runs with the pre-selection and post-selected states alive.
+# Widest register run_qpca simulates.  States store only their live rows:
+# from phase estimation on, at most two rows of 2**(n+m) amplitudes for any
+# spectrum, exact or not, since the filter's inverse returns y to 0 exactly
+# and lambda stays inside the rows.  The cap bounds the dense worst case:
+# ``StateVector.amps`` of the whole state (256 MiB at 24 qubits), and a
+# wide data register at small n, where those two rows are 2**-n of it.
 MAX_QUBITS = 24
 
 
@@ -187,11 +190,18 @@ def ancilla_flip_gate(layout: RegisterLayout) -> GateOp:
     return GateOp(gather, (layout.ancilla,) + layout.y_reg, label="CU_flip")
 
 
+def _work_rows(state: StateVector, layout: RegisterLayout):
+    """The live rows of ``state`` keyed by the work registers: the ancilla,
+    y and lambda values of each row, and the rows' data-register amplitudes."""
+    keys, block = state.rows(layout.work_qubits)
+    anc, y, lam, _ = layout.split(keys << layout.data_qubits)
+    return anc, y, lam, block
+
+
 def _work_register_residual(state: StateVector, layout: RegisterLayout) -> float:
     """Probability mass with y or lambda register away from |0>."""
-    work = layout.view(state.probabilities()).sum(axis=(0, 3))
-    work[0, 0] = 0.0
-    return float(work.sum())
+    _, y, lam, block = _work_rows(state, layout)
+    return float(np.sum(np.abs(block[(y != 0) | (lam != 0)]) ** 2))
 
 
 def uncompute(
@@ -221,7 +231,9 @@ def uncompute(
 
 def lambda_register_histogram(state: StateVector, layout: RegisterLayout) -> dict[int, float]:
     """Marginal probability of each lambda-register value, zeros dropped."""
-    mass = layout.view(state.probabilities()).sum(axis=(0, 1, 3))
+    _, _, lam, block = _work_rows(state, layout)
+    row_mass = np.sum(np.abs(block) ** 2, axis=1)
+    mass = np.bincount(lam, weights=row_mass, minlength=1 << layout.eig_bits)
     return {int(v): float(p) for v, p in enumerate(mass) if p > 1e-12}
 
 
@@ -304,7 +316,9 @@ def run_qpca(
     # With ancilla = 1 all mass should sit on clean work registers.
     # Approximate spectra leak some mass outside that block; it is
     # renormalized either way.
-    amps = layout.view(collapsed.amps)[1, 0, 0]
+    anc, y, lam, block = _work_rows(collapsed, layout)
+    clean = np.flatnonzero((anc == 1) & (y == 0) & (lam == 0))
+    amps = block[clean[0]] if clean.size else np.zeros(block.shape[1], dtype=np.complex128)
     block_mass = float(np.sum(np.abs(amps) ** 2))
     if exact_spectrum and 1.0 - block_mass > UNCOMPUTE_ATOL:
         raise PipelineInvariantError(
@@ -325,10 +339,11 @@ def run_qpca(
     shots = counts = None
     if config.mode == "sampled":
         raw = sample(state, config.shots, config.seed)
-        per_index = np.zeros(state.amps.size, dtype=np.int64)
-        per_index[list(raw)] = list(raw.values())
+        anc, _, _, x = layout.split(np.fromiter(raw, dtype=np.intp, count=len(raw)))
+        hits = np.fromiter(raw.values(), dtype=np.int64, count=len(raw))
         # ancilla-1 shots, whatever the work registers read, per data value
-        per_data = layout.view(per_index)[1].sum(axis=(0, 1))
+        per_data = np.zeros(1 << layout.data_qubits, dtype=np.int64)
+        np.add.at(per_data, x[anc == 1], hits[anc == 1])
         accepted = int(per_data.sum())
         if accepted == 0:
             raise PipelineInvariantError("no shot landed on the post-selected ancilla")

@@ -1,4 +1,4 @@
-"""Dense statevector simulator: gates, circuits, measurement, post-selection.
+"""Statevector simulator that stores only the live rows of a state.
 
 Conventions
 -----------
@@ -7,21 +7,31 @@ basis state |b0 b1 ... b_{Q-1}> lives at index sum_i b_i * 2**(Q-1-i).  This
 matches circuit diagrams read top to bottom, with qubit 0 on the top wire.
 
 States are immutable at the API: every operation returns a fresh
-``StateVector`` and never writes its input.  Inside, ``run`` (and ``apply``,
-which is ``run`` of one gate) builds one private output buffer and applies
-every gate to it in place; the finiteness and norm checks of ``StateVector``
-then run once per ``run``, not once per gate.
+``StateVector`` and never writes its input.
 
-Live rows.  A circuit whose gates leave qubits 0 .. top-1 untouched acts as
-I (x) U on the rows of ``amps.reshape(2**top, -1)``, so a row that is
-exactly zero stays exactly zero.  ``run`` takes ``top`` as the lowest qubit
-any gate touches, keeps the rows that hold any nonzero amplitude (an exact
-test, so a row holding NaN counts as live) and applies the gates to those
-rows alone: as a slice when they are contiguous, otherwise gathered once
-before the gates and scattered once after.  In the pipeline, phase
-estimation touches only the lambda register and the row half of the data
-register while the ancilla and y register hold one or two values, so it
-works on 2**(n+m) of the 2**Q amplitudes.
+Live rows.  Split at a qubit ``top``, a state is the (2**top, 2**(Q-top))
+array of its rows: row r holds the amplitudes whose qubits 0 .. top-1 spell
+r.  A ``StateVector`` stores ``(top, keys, block)``: ``keys`` lists, in
+ascending (basis) order, the rows that may hold a nonzero amplitude, and
+``block`` holds those rows; every other row is exactly zero.  Memory and the
+finiteness and norm checks therefore cost O(live amplitudes), not O(2**Q).
+
+* ``run`` re-keys the state to its circuit's ``top``, the lowest qubit any
+  gate touches.  Going coarser merges rows; going finer drops sub-rows that
+  are exactly zero (an exact test, so a row holding NaN stays live).  A
+  circuit whose gates leave qubits 0 .. top-1 untouched acts as I (x) U on
+  the rows, so a zero row stays zero, and every gate is applied to the
+  block alone through ``_apply_into``.
+* A circuit of gather maps only (the eigenvalue filter, the ancilla flip)
+  instead moves every qubit it touches into the key and permutes the keys:
+  O(live rows) of index arithmetic, no arithmetic on amplitudes.  The block's
+  rows are reordered only to keep the keys ascending.
+* ``post_select``, ``probabilities`` and ``sample`` read the live rows only;
+  ``amps`` builds the dense array on demand, for tests and small states.
+
+In the pipeline, phase estimation touches only the lambda register and the
+row half of the data register while the ancilla and y register hold one or
+two values, so every stage works on one or two times 2**(n+m) amplitudes.
 
 A gate on k target qubits holds one of three forms in ``GateOp.matrix``:
 
@@ -63,42 +73,87 @@ class ZeroProbabilityOutcome(SimulationError):
 
 
 class StateVector:
-    """Normalized vector of 2**num_qubits complex amplitudes.
+    """Normalized vector of 2**num_qubits complex amplitudes, stored as its
+    live rows (see the module docstring).
 
-    The amplitude array is validated (power-of-two length, finite entries,
-    unit norm within ``NORM_ATOL``) and frozen at construction.
+    The stored rows are validated (finite entries, unit norm within
+    ``NORM_ATOL``) and frozen at construction; the rows left out are zero by
+    construction, so this checks the whole state.
     """
 
-    __slots__ = ("num_qubits", "_amps")
+    __slots__ = ("num_qubits", "_top", "_keys", "_block")
 
     def __init__(self, amps: Iterable[complex]):
-        self._adopt(np.array(amps, dtype=np.complex128).reshape(-1))
-
-    @classmethod
-    def _owned(cls, arr: np.ndarray) -> "StateVector":
-        """Wrap a complex128 buffer without copying it.  The caller owns
-        ``arr`` and hands it over: nothing else may hold or write it."""
-        self = cls.__new__(cls)
-        self._adopt(arr.reshape(-1))
-        return self
-
-    def _adopt(self, arr: np.ndarray) -> None:
+        arr = np.array(amps, dtype=np.complex128).reshape(-1)
         q = arr.size.bit_length() - 1
         if arr.size < 2 or (1 << q) != arr.size:
             raise ValueError(f"amplitude count {arr.size} is not a power of two >= 2")
-        if not np.all(np.isfinite(arr)):
+        self._adopt(q, 0, np.zeros(1, dtype=np.intp), arr.reshape(1, -1))
+
+    @classmethod
+    def _owned(cls, num_qubits: int, top: int, keys: np.ndarray, block: np.ndarray) -> "StateVector":
+        """Wrap live rows without copying them.  The caller hands ``keys`` and
+        ``block`` over: nothing may write them afterwards."""
+        self = cls.__new__(cls)
+        self._adopt(num_qubits, top, keys, block)
+        return self
+
+    def _adopt(self, num_qubits: int, top: int, keys: np.ndarray, block: np.ndarray) -> None:
+        if block.shape != (keys.size, 1 << (num_qubits - top)):
+            raise ValueError(f"rows of shape {block.shape} do not match {keys.size} keys at qubit {top}")
+        if keys.size and (keys[0] < 0 or keys[-1] >= 1 << top or np.any(keys[1:] <= keys[:-1])):
+            raise ValueError("row keys are not ascending row indices")
+        if not np.all(np.isfinite(block)):
             raise ValueError("state contains non-finite amplitudes")
-        nrm = float(np.linalg.norm(arr))
+        nrm = float(np.linalg.norm(block))
         if abs(nrm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {nrm!r} differs from 1 by more than {NORM_ATOL}")
-        arr.setflags(write=False)
-        self.num_qubits = q
-        self._amps = arr
+        keys.setflags(write=False)
+        block.setflags(write=False)
+        self.num_qubits = num_qubits
+        self._top = top
+        self._keys = keys
+        self._block = block
+
+    def rows(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """The state split at qubit ``top``: the ascending indices, over
+        qubits 0 .. top-1, of its live rows, and the (L, 2**(num_qubits-top))
+        array of those rows.  Both are read-only; every other row is zero."""
+        if top == self._top:
+            return self._keys, self._block
+        keys, block = self._rekey(top)
+        keys.setflags(write=False)
+        block.setflags(write=False)
+        return keys, block
+
+    def _rekey(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """``rows(top)`` with a new, writable block."""
+        if not 0 <= top <= self.num_qubits:
+            raise ValueError(f"cannot split {self.num_qubits} qubits at qubit {top}")
+        keys, block, shift = self._keys, self._block, top - self._top
+        if shift == 0:
+            return keys, block.copy()
+        if shift < 0:  # coarser: sub-rows merge into their row
+            shift = -shift
+            merged, row = np.unique(keys >> shift, return_inverse=True)
+            out = np.zeros((merged.size, 1 << shift, block.shape[1]), dtype=np.complex128)
+            out[row, keys & ((1 << shift) - 1)] = block
+            return merged, out.reshape(merged.size, -1)
+        # finer: each row splits into 2**shift sub-rows, and the exactly-zero
+        # ones are dropped (NaN is not zero, so its sub-row stays live)
+        sub = block.reshape(keys.size << shift, -1)
+        live = np.any(sub, axis=1)
+        split = ((keys[:, None] << shift) | np.arange(1 << shift)).reshape(-1)
+        return split[live], sub[live]
 
     @property
     def amps(self) -> np.ndarray:
-        """Read-only amplitude array, indexed by basis state."""
-        return self._amps
+        """Dense read-only amplitude array, indexed by basis state, built on
+        each call: O(2**num_qubits), for tests and small states."""
+        out = np.zeros((1 << self._top, self._block.shape[1]), dtype=np.complex128)
+        out[self._keys] = self._block
+        out.setflags(write=False)
+        return out.reshape(-1)
 
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
@@ -107,16 +162,19 @@ class StateVector:
 
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "StateVector":
+        """|index>, stored as its one nonzero amplitude."""
         if num_qubits < 1:
             raise ValueError("need at least one qubit")
         if not 0 <= index < (1 << num_qubits):
             raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-        arr = np.zeros(1 << num_qubits, dtype=np.complex128)
-        arr[index] = 1.0
-        return cls(arr)
+        keys = np.array([index], dtype=np.intp)
+        return cls._owned(num_qubits, num_qubits, keys, np.ones((1, 1), dtype=np.complex128))
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self._amps) ** 2
+        """Dense array of basis-state probabilities, computed on the live rows."""
+        out = np.zeros((1 << self._top, self._block.shape[1]))
+        out[self._keys] = np.abs(self._block) ** 2
+        return out.reshape(-1)
 
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
@@ -133,6 +191,22 @@ def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
             raise ValueError(f"control polarity must be 0 or 1, got {pol}")
         out.append((q, pol))
     return tuple(out)
+
+
+def _wiring(targets, controls) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Checked (targets, controls) tuples of a gate."""
+    if isinstance(targets, (int, np.integer)):
+        targets = (int(targets),)
+    targets = tuple(int(t) for t in targets)
+    controls = _normalize_controls(controls)
+    if not targets:
+        raise ValueError("gate needs at least one target qubit")
+    touched = list(targets) + [q for q, _ in controls]
+    if len(set(touched)) != len(touched):
+        raise ValueError(f"targets and controls overlap: {touched}")
+    if min(touched) < 0:
+        raise ValueError(f"negative qubit index in {touched}")
+    return targets, controls
 
 
 def _conj_transpose(m: np.ndarray) -> np.ndarray:
@@ -153,6 +227,13 @@ def _is_permutation(g: np.ndarray) -> bool:
     return bool(np.all(np.bincount(g, minlength=size) == 1))
 
 
+def _inverse_map(g: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``g``: the h with h[g[i]] = i."""
+    h = np.empty_like(g)
+    h[g] = np.arange(g.size)
+    return h
+
+
 class GateOp:
     """A k-qubit unitary acting on ``targets``, optionally controlled.
 
@@ -162,7 +243,8 @@ class GateOp:
     B * d = 2**k, selected by the leading targets (see the module
     docstring).  A one-dimensional integer array selects the map form; it is
     checked to be a permutation of range(2**k), a dense matrix or each block
-    to be unitary, all at construction.
+    to be unitary, all at construction.  ``dagger`` and ``remap`` reuse the
+    checked matrix and check only the wiring.
 
     ``controls`` is a sequence of (qubit, polarity) pairs; polarity 1 fires
     on |1>, polarity 0 on |0>.  Bare qubit indices mean polarity 1.
@@ -171,13 +253,8 @@ class GateOp:
     __slots__ = ("matrix", "targets", "controls", "label")
 
     def __init__(self, matrix, targets, controls=(), label: str | None = None):
-        if isinstance(targets, (int, np.integer)):
-            targets = (int(targets),)
-        targets = tuple(int(t) for t in targets)
-        controls = _normalize_controls(controls)
+        targets, controls = _wiring(targets, controls)
         k = len(targets)
-        if k < 1:
-            raise ValueError("gate needs at least one target qubit")
         m = np.asarray(matrix)
         if m.ndim == 1 and m.dtype.kind in "iu":
             m = np.array(m, dtype=np.intp)
@@ -196,13 +273,19 @@ class GateOp:
             defect = _unitarity_defect(m)
             if defect > UNITARY_ATOL:
                 raise NonUnitaryMatrixError(f"matrix deviates from unitarity by {defect:.3e}")
-        touched = list(targets) + [q for q, _ in controls]
-        if len(set(touched)) != len(touched):
-            raise ValueError(f"targets and controls overlap: {touched}")
-        if min(touched) < 0:
-            raise ValueError(f"negative qubit index in {touched}")
-        m.setflags(write=False)
-        self.matrix = m
+        self._set(m, targets, controls, label)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, targets, controls, label) -> "GateOp":
+        """A gate on ``matrix`` taken from an already checked gate, or its
+        inverse: the wiring is checked, the matrix is not checked again."""
+        self = cls.__new__(cls)
+        self._set(matrix, *_wiring(targets, controls), label)
+        return self
+
+    def _set(self, matrix: np.ndarray, targets, controls, label) -> None:
+        matrix.setflags(write=False)
+        self.matrix = matrix
         self.targets = targets
         self.controls = controls
         self.label = label
@@ -211,14 +294,14 @@ class GateOp:
         """Inverse gate, same wiring: the inverse permutation of a gather map,
         the conjugate transpose of a dense matrix or of each block."""
         if self.matrix.ndim == 1:
-            inverse = np.argsort(self.matrix)
+            inverse = _inverse_map(self.matrix)
         else:
             inverse = _conj_transpose(self.matrix)
-        return GateOp(inverse, self.targets, self.controls, self.label)
+        return GateOp._trusted(inverse, self.targets, self.controls, self.label)
 
     def remap(self, qubit_map: Sequence[int]) -> "GateOp":
         """Rewire the gate through ``qubit_map`` (old index -> new index)."""
-        return GateOp(
+        return GateOp._trusted(
             self.matrix,
             tuple(qubit_map[t] for t in self.targets),
             tuple((qubit_map[q], pol) for q, pol in self.controls),
@@ -315,28 +398,51 @@ def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None
     sub[...] = new.reshape(sub.shape)
 
 
-def _evolve(amps: np.ndarray, num_qubits: int, ops: Sequence[GateOp]) -> np.ndarray:
-    """A new flat buffer holding ``ops`` applied in order to ``amps``.
+def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
+    """Row keys after the gather map ``op``, all of whose qubits lie in
+    qubits 0 .. top-1: a row whose controls fire moves from target value j
+    to the value i with g[i] = j.  O(len(keys)); no amplitude moves."""
+    def bit(q):
+        return (keys >> (top - 1 - q)) & 1
 
-    Only the live rows of the qubits the ops leave untouched are copied and
-    worked on (see the module docstring); ``amps`` is never written.
+    fire = np.ones(keys.size, dtype=bool)
+    for q, pol in op.controls:
+        fire &= bit(q) == pol
+    value = np.zeros_like(keys)
+    for t in op.targets:
+        value = (value << 1) | bit(t)
+    value = _inverse_map(op.matrix)[value]
+    moved = keys.copy()
+    k = len(op.targets)
+    for i, t in enumerate(op.targets):
+        shift = top - 1 - t
+        moved &= ~(1 << shift)
+        moved |= ((value >> (k - 1 - i)) & 1) << shift
+    return np.where(fire, moved, keys)
+
+
+def _evolve(state: StateVector, ops: Sequence[GateOp]) -> StateVector:
+    """A new state holding ``ops`` applied in order to ``state``.
+
+    A circuit of gather maps only moves every qubit it touches into the key
+    and permutes the keys; any other circuit is re-keyed to its lowest
+    qubit and applied to the block.  ``state`` is never written.
     """
-    top = min((op.min_qubit() for op in ops), default=num_qubits)
-    rows = amps.reshape(1 << top, -1)
-    live = np.flatnonzero(np.any(rows, axis=1))
-    lo, hi = live[0], live[-1] + 1  # a unit-norm state has a live row
-    gathered = hi - lo != live.size
-    out = np.zeros(rows.shape, dtype=np.complex128)
-    if gathered:
-        block = rows[live]
-    else:
-        block = out[lo:hi]  # a view: the ops write straight into out
-        block[...] = rows[lo:hi]
+    q = state.num_qubits
+    if all(op.matrix.ndim == 1 for op in ops):
+        top = max([state._top] + [op.max_qubit() + 1 for op in ops])
+        keys, block = state.rows(top)
+        for op in ops:
+            keys = _permute_keys(keys, top, op)
+        if np.any(keys[1:] < keys[:-1]):
+            order = np.argsort(keys)
+            keys, block = keys[order], block[order]
+        return StateVector._owned(q, top, keys, block)
+    top = min(op.min_qubit() for op in ops)
+    keys, block = state._rekey(top)
     for op in ops:
-        _apply_into(block, num_qubits, top, op)
-    if gathered:
-        out[live] = block
-    return out.reshape(-1)
+        _apply_into(block, q, top, op)
+    return StateVector._owned(q, top, keys, block)
 
 
 def apply(state: StateVector, op: GateOp) -> StateVector:
@@ -344,7 +450,7 @@ def apply(state: StateVector, op: GateOp) -> StateVector:
     q = state.num_qubits
     if op.max_qubit() >= q:
         raise ValueError(f"gate touches qubit {op.max_qubit()} but state has {q} qubits")
-    return StateVector._owned(_evolve(state.amps, q, (op,)))
+    return _evolve(state, (op,))
 
 
 def run(state: StateVector, circuit: Circuit) -> StateVector:
@@ -353,7 +459,7 @@ def run(state: StateVector, circuit: Circuit) -> StateVector:
         raise ValueError(
             f"circuit width {circuit.num_qubits} does not match state width {state.num_qubits}"
         )
-    return StateVector._owned(_evolve(state.amps, state.num_qubits, circuit.ops))
+    return _evolve(state, circuit.ops)
 
 
 def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, StateVector]:
@@ -367,27 +473,38 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, St
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    # axis 1 is the measured qubit, axis 0 the qubits above it
-    split = state.amps.reshape(1 << qubit, 2, -1)
-    kept = split[:, outcome, :]
+    # with the measured qubit in the key, the outcome selects whole rows
+    top = max(state._top, qubit + 1)
+    keys, block = state.rows(top)
+    hit = ((keys >> (top - 1 - qubit)) & 1) == outcome
+    kept = block[hit]  # a copy
     prob = float(np.sum(np.abs(kept) ** 2))
     if prob < MIN_OUTCOME_PROB:
         raise ZeroProbabilityOutcome(
             f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
         )
-    collapsed = np.zeros_like(split)
-    collapsed[:, outcome, :] = kept / math.sqrt(prob)
-    return prob, StateVector._owned(collapsed)
+    kept /= math.sqrt(prob)
+    return prob, StateVector._owned(state.num_qubits, top, keys[hit], kept)
 
 
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
-    """Multinomial measurement counts over basis states; deterministic per seed."""
+    """Multinomial measurement counts over basis states; deterministic per seed.
+
+    The draw runs over the live amplitudes in ascending basis order.  An
+    amplitude left out has probability zero, and a zero-probability outcome
+    draws no random numbers, so the counts equal those of the draw over the
+    dense state whenever the two normalizing sums round alike.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = state.probabilities()
+    keys, block = state._keys, state._block
+    p = (np.abs(block) ** 2).reshape(-1)
     p = p / p.sum()
     counts = np.random.default_rng(seed).multinomial(shots, p)
-    return {int(i): int(c) for i, c in enumerate(counts) if c}
+    hit = np.flatnonzero(counts)
+    width = block.shape[1]
+    index = keys[hit // width] * width + hit % width
+    return {int(i): int(c) for i, c in zip(index, counts[hit])}
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

@@ -12,6 +12,7 @@ from qpcasim import (
     circuit_unitary,
     matrix_exponential_unitary,
     run,
+    sim,
     state_prep_tree,
 )
 
@@ -160,6 +161,18 @@ class TestPhaseEstimation:
         vec = np.kron(np.eye(4)[0], random_state(rng, 1))
         out = run(run(StateVector(vec), pe), pe.inverse()).amps
         assert np.max(np.abs(out - vec)) < 1e-9
+
+    def test_checks_each_matrix_once(self, monkeypatch):
+        # H, c-exp and inverse-QFT gates are checked when built; the QFT's
+        # inverse and its move onto the register reuse the checked matrices
+        checks = []
+        defect = sim._unitarity_defect
+        monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checks.append(1) or defect(m))
+        for n in (1, 2, 3, 6):
+            checks.clear()
+            spec = PhaseEstimationSpec(np.diag([1.0, 0.0]), n)
+            pe = build_phase_estimation(spec, range(1, n + 1), (0,))
+            assert len(checks) == len(pe) == 2 * n + n * (n + 1) // 2 + n // 2
 
     def test_register_size_mismatch(self, matrix_a):
         spec = PhaseEstimationSpec(matrix_a, eig_bits=2)

@@ -334,6 +334,37 @@ class TestRunQpca:
         assert peak < 64e6
         assert abs(result.fidelity - 1.0) < 1e-9
 
+    def test_23_qubits_hold_only_live_amplitudes(self):
+        # dim 8 at n = 8 is 23 qubits, 128 MiB per dense state; the live
+        # rows are one or two times 2**(n+m) = 16384 amplitudes
+        rng = np.random.default_rng(9)
+        mat, _ = random_integer_spectrum_matrix(rng, 8, 8, tau=100.5)
+        hin = HermitianInput.from_matrix(mat)
+        for mode in ("exact", "sampled"):
+            tracemalloc.start()
+            try:
+                result = run_qpca(hin, QpcaConfig(tau=100.5, n_bits=8, mode=mode))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.layout.num_qubits == 23
+            assert peak < 32e6, (mode, peak)
+            if mode == "exact":
+                assert abs(result.fidelity - 1.0) < 1e-9
+
+    def test_never_builds_the_dense_state(self, monkeypatch):
+        def dense(_):
+            raise AssertionError("dense state built")
+
+        monkeypatch.setattr(StateVector, "amps", property(dense))
+        monkeypatch.setattr(StateVector, "probabilities", dense)
+        hin = HermitianInput.from_matrix(np.diag([0.0, 1.0, 2.0, 3.0]))
+        for mode in ("exact", "sampled"):
+            r = run_qpca(hin, QpcaConfig(tau=1.8, n_bits=3, mode=mode))
+            assert r.kept_eigenvalues == (3.0, 2.0)
+        with pytest.warns(SpectralPrecisionWarning):
+            run_qpca(HermitianInput.from_matrix(np.diag([2.3, 1.0])), QpcaConfig(tau=1.5, n_bits=2))
+
     def test_rejects_non_power_of_two_dimension(self):
         hin = HermitianInput.from_matrix(np.eye(3))
         with pytest.raises(ValueError, match="power of two"):

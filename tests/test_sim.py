@@ -19,6 +19,7 @@ from qpcasim import (
     run,
     ry,
     sample,
+    sim,
     swap,
 )
 
@@ -47,13 +48,16 @@ class TestStateVector:
             StateVector([np.nan, 0.0])
 
     def test_owned_buffer_is_checked_not_copied(self):
-        buf = np.zeros(4, dtype=np.complex128)
-        buf[2] = 1.0
-        s = StateVector._owned(buf)
-        assert np.shares_memory(s.amps, buf) and not s.amps.flags.writeable
-        for bad in ([1.0, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]):
+        keys = np.array([1, 3])
+        block = np.zeros((2, 2), dtype=np.complex128)
+        block[1, 0] = 1.0
+        s = StateVector._owned(3, 2, keys, block)
+        got_keys, got_block = s.rows(2)
+        assert np.shares_memory(got_block, block) and not got_block.flags.writeable
+        assert np.shares_memory(got_keys, keys) and not got_keys.flags.writeable
+        for bad in ([[1.0, 1.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 0.0]], [[1.0, 0.0, 0.0]]):
             with pytest.raises(ValueError):
-                StateVector._owned(np.array(bad, dtype=np.complex128))
+                StateVector._owned(3, 2, np.array([0, 1]), np.array(bad, dtype=np.complex128))
 
     def test_amps_frozen(self):
         s = StateVector.zero(2)
@@ -189,6 +193,23 @@ class TestGateOp:
             with pytest.raises(ValueError, match="shape"):
                 GateOp(blocks, targets)
 
+    def test_dagger_and_remap_check_the_matrix_no_more(self, monkeypatch):
+        checks = []
+        defect = sim._unitarity_defect
+        monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checks.append(1) or defect(m))
+        rng = np.random.default_rng(7)
+        op = GateOp(random_unitary(rng, 4), (0, 1), controls=((2, 0),))
+        inv = op.dagger().remap([3, 1, 0])
+        assert len(checks) == 1
+        assert inv.targets == (3, 1) and inv.controls == ((0, 0),)
+        assert not inv.matrix.flags.writeable
+        assert np.max(np.abs(inv.matrix @ op.matrix - np.eye(4))) < 1e-12
+        # the wiring of a remapped gate is still checked
+        with pytest.raises(ValueError, match="overlap"):
+            op.remap([1, 1, 0])
+        with pytest.raises(ValueError, match="negative"):
+            op.remap([0, 1, -1])
+
     def test_bare_int_control_means_polarity_one(self):
         op = pauli_x(1, controls=(0,))
         assert op.controls == ((0, 1),)
@@ -284,6 +305,14 @@ class TestApply:
         assert not s.amps.flags.writeable
 
 
+def _store_unchecked(state, top, keys, block):
+    """Overwrite the rows ``state`` stores, bypassing every check, to build
+    states ``StateVector`` would refuse."""
+    state._top = top
+    state._keys = np.asarray(keys)
+    state._block = np.asarray(block, dtype=np.complex128)
+
+
 def _random_op(rng, wires):
     """A dense, gather-map or block gate on 1-3 of ``wires``, controlled
     with mixed polarities by some of the rest."""
@@ -322,7 +351,7 @@ class TestLiveRows:
 
     def test_matches_dense_product_for_every_zero_row_pattern(self):
         rng = np.random.default_rng(61)
-        gathered = 0
+        scattered = 0
         for _ in range(25):
             q = int(rng.integers(3, 7))
             top = int(rng.integers(1, q - 1))
@@ -341,8 +370,10 @@ class TestLiveRows:
                 assert np.all(got.reshape(1 << top, -1)[zero_rows] == 0)
                 assert np.array_equal(s.amps, vec)
                 live = np.flatnonzero(np.any(vec.reshape(1 << top, -1), axis=1))
-                gathered += live[-1] - live[0] + 1 != live.size
-        assert gathered > 0
+                keys, _ = s.rows(top)
+                assert np.array_equal(keys, live)
+                scattered += live[-1] - live[0] + 1 != live.size
+        assert scattered > 0
 
     def test_nan_in_a_zero_row_is_rejected(self):
         # a NaN is not zero: its row is live, the NaN survives the gates and
@@ -350,12 +381,172 @@ class TestLiveRows:
         s = StateVector.basis(4, 0)
         bad = s.amps.copy()
         bad[13] = np.nan  # row 3 of qubits 0-1, otherwise zero
-        s._amps = bad
+        _store_unchecked(s, 0, [0], bad.reshape(1, -1))
         circuit = Circuit(4, [hadamard(2), pauli_x(3, controls=((2, 1),))])
         with pytest.raises(ValueError, match="finite"):
             run(s, circuit)
         with pytest.raises(ValueError, match="finite"):
             apply(s, hadamard(3))
+
+
+def _sparse_state(rng, q):
+    """A random state on ``q`` qubits stored at a random split ``top``, with
+    a random pattern of zero rows: none, a contiguous run, a scattered set,
+    or all but one.  Some stored rows are left all zero, which a stored row
+    may be.  Returns (state, dense amplitudes)."""
+    top = int(rng.integers(0, q + 1))
+    num_rows = 1 << top
+    pattern = int(rng.integers(0, 4))
+    if pattern == 0:
+        live = np.arange(num_rows)
+    elif pattern == 1:
+        lo = int(rng.integers(0, num_rows))
+        live = np.arange(lo, int(rng.integers(lo, num_rows)) + 1)
+    elif pattern == 2:
+        live = np.flatnonzero(rng.random(num_rows) < 0.4)
+        if live.size == 0:
+            live = np.array([int(rng.integers(0, num_rows))])
+    else:
+        live = np.array([int(rng.integers(0, num_rows))])
+    block = random_state(rng, q)[: live.size << (q - top)].reshape(live.size, -1)
+    if live.size > 2:
+        block[int(rng.integers(0, live.size))] = 0.0
+    block[:, rng.random(block.shape[1]) < 0.3] = 0.0
+    nrm = np.linalg.norm(block)
+    if nrm == 0:
+        block[0, 0], nrm = 1.0, 1.0
+    block = block / nrm
+    dense = np.zeros((num_rows, 1 << (q - top)), dtype=complex)
+    dense[live] = block
+    return StateVector._owned(q, top, live, block), dense.reshape(-1)
+
+
+class TestLiveRowState:
+    """Random sparse states, stored at random splits, against their dense
+    amplitudes and ``helpers.dense_operator``."""
+
+    def test_rows_at_every_split_round_trip(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            q = int(rng.integers(3, 9))
+            s, dense = _sparse_state(rng, q)
+            assert np.array_equal(s.amps, dense)
+            for top in range(q + 1):
+                keys, block = s.rows(top)
+                assert np.all(np.diff(keys) > 0) and block.shape == (keys.size, 1 << (q - top))
+                assert not block.flags.writeable
+                rows = dense.reshape(1 << top, -1)
+                assert np.array_equal(block, rows[keys])
+                others = np.setdiff1d(np.arange(1 << top), keys)
+                assert not np.any(rows[others])
+                # a split finer than the stored one keeps no zero row
+                if top > s._top:
+                    assert np.all(np.any(block, axis=1))
+                back = StateVector._owned(q, top, keys.copy(), block.copy())
+                assert np.array_equal(back.amps, dense)
+                for again in range(q + 1):
+                    k2, b2 = back.rows(again)
+                    k1, b1 = s.rows(again)
+                    full1 = np.zeros((1 << again, b1.shape[1]), dtype=complex)
+                    full2 = full1.copy()
+                    full1[k1], full2[k2] = b1, b2
+                    assert np.array_equal(full1, full2)
+
+    def test_circuits_match_dense_operator(self):
+        # dense, block and gather-map gates together (every gate on the
+        # block), and circuits of gather maps alone, on qubits inside the
+        # stored key, across the key and the block, and inside the block
+        rng = np.random.default_rng(73)
+        kinds = set()
+        for _ in range(60):
+            q = int(rng.integers(3, 9))
+            s, dense = _sparse_state(rng, q)
+            if rng.integers(0, 2):
+                ops = [_random_op(rng, range(q)) for _ in range(int(rng.integers(1, 5)))]
+            else:
+                ops = []
+                for _ in range(int(rng.integers(1, 4))):
+                    wires = [int(w) for w in rng.permutation(q)]
+                    k = int(rng.integers(1, min(3, q) + 1))
+                    n_ctrl = int(rng.integers(0, q - k + 1))
+                    controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
+                    ops.append(GateOp(rng.permutation(1 << k), tuple(wires[:k]), controls))
+                hi = max(op.max_qubit() for op in ops)
+                lo = min(op.min_qubit() for op in ops)
+                kinds.add("key" if hi < s._top else "block" if lo >= s._top else "across")
+            want = dense
+            for op in ops:
+                want = dense_operator(op, q) @ want
+            got = run(s, Circuit(q, ops))
+            assert np.max(np.abs(got.amps - want)) < 1e-12
+            assert np.array_equal(s.amps, dense)
+            if len(ops) == 1:
+                assert np.max(np.abs(apply(s, ops[0]).amps - want)) < 1e-12
+        assert kinds == {"key", "across", "block"}
+
+    def test_key_permutation_moves_no_amplitude_value(self):
+        # a gather map inside the key only relabels rows
+        rng = np.random.default_rng(79)
+        s, dense = _sparse_state(rng, 6)
+        while s._top < 3:
+            s, dense = _sparse_state(rng, 6)
+        op = GateOp(rng.permutation(4), (s._top - 1, 0), controls=((1, 0),))
+        got = apply(s, op)
+        _, block = s.rows(s._top)
+        _, new_block = got.rows(s._top)
+        assert sorted(map(bytes, new_block)) == sorted(map(bytes, block))
+        assert np.array_equal(got.amps, dense_operator(op, 6) @ dense)
+
+    def test_post_select_probabilities_and_sample(self):
+        rng = np.random.default_rng(83)
+        for trial in range(40):
+            q = int(rng.integers(3, 9))
+            s, dense = _sparse_state(rng, q)
+            assert np.array_equal(s.probabilities(), np.abs(dense) ** 2)
+            qubit = int(rng.integers(0, q))
+            bits = (np.arange(dense.size) >> (q - 1 - qubit)) & 1
+            for outcome in (0, 1):
+                mass = float(np.sum(np.abs(dense[bits == outcome]) ** 2))
+                if mass < 1e-12:
+                    with pytest.raises(ZeroProbabilityOutcome):
+                        post_select(s, qubit, outcome)
+                    continue
+                prob, collapsed = post_select(s, qubit, outcome)
+                want = np.where(bits == outcome, dense, 0) / math.sqrt(mass)
+                assert abs(prob - mass) < 1e-12
+                assert np.max(np.abs(collapsed.amps - want)) < 1e-12
+            # the draw over live amplitudes is the dense multinomial
+            p = np.abs(s.amps) ** 2
+            counts = np.random.default_rng(trial).multinomial(4096, p / p.sum())
+            want = {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
+            assert sample(s, 4096, seed=trial) == want
+
+    def test_nan_in_a_position_no_stored_row_would_keep_is_rejected(self):
+        # a NaN where the rest of its row is zero: splitting finer keeps its
+        # sub-row, merging keeps it, and a key permutation keeps its row
+        for top, index in ((0, 13), (2, 13), (4, 6), (1, 2)):
+            s = StateVector.basis(4, 0)
+            rows = np.zeros((1 << top, 1 << (4 - top)), dtype=complex)
+            rows.reshape(-1)[0] = 1.0
+            rows.reshape(-1)[index] = np.nan
+            live = np.flatnonzero(np.any(rows, axis=1))
+            _store_unchecked(s, top, live, rows[live])
+            for circuit in (
+                Circuit(4, [hadamard(3)]),
+                Circuit(4, [hadamard(0), hadamard(2)]),
+                Circuit(4, [GateOp([1, 0], (0,))]),
+                Circuit(4, [GateOp([2, 0, 3, 1], (3, 2))]),
+            ):
+                with pytest.raises(ValueError, match="finite"):
+                    run(s, circuit)
+            with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+                post_select(s, 3, (index & 1))
+
+    def test_owned_rejects_bad_keys(self):
+        block = np.full((2, 2), 0.5, dtype=complex)
+        for keys in ([1, 0], [0, 0], [0, 4], [-1, 0]):
+            with pytest.raises(ValueError, match="keys"):
+                StateVector._owned(3, 2, np.array(keys), block)
 
 
 class TestCircuit:
