@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import Circuit, GateOp, cphase, hadamard, swap
+from .sim import Circuit, GateOp, hadamard
+
+# Largest |A - A^T| entry accepted from a matrix said to be symmetric, by
+# every entry point: the CLI parser, HermitianInput and PhaseEstimationSpec.
+SYMMETRY_ATOL = 1e-9
 
 
 class SpectralPrecisionWarning(UserWarning):
@@ -34,7 +39,7 @@ class PhaseEstimationSpec:
         k = m.shape[0].bit_length() - 1
         if (1 << k) != m.shape[0]:
             raise ValueError(f"matrix dimension {m.shape[0]} is not a power of two")
-        if np.max(np.abs(m - m.T)) > 1e-10:
+        if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL:
             raise ValueError("matrix is not symmetric")
         if self.eig_bits < 1:
             raise ValueError("eig_bits must be >= 1")
@@ -84,16 +89,45 @@ def matrix_exponential_unitary(spec: PhaseEstimationSpec, power: int) -> GateOp:
     )
 
 
+@functools.lru_cache
+def _qft_ops(num_qubits: int) -> tuple[GateOp, ...]:
+    """The gates of ``build_qft(num_qubits)``, built and checked once per width."""
+    n = num_qubits
+    s = 1 / math.sqrt(2)
+    ops = []
+    for i in range(n):
+        # block c, c spelled by qubits i+1 .. n-1, is diag(1, e^(i phi(c))) H
+        # with phi(c) = 2 pi c / 2**(n-i): the sum of the controlled phases
+        # 2 pi / 2**(j-i+1) of every qubit j > i that reads 1 in c
+        phases = np.exp(2j * math.pi * np.arange(1 << (n - 1 - i)) / (1 << (n - i)))
+        blocks = np.empty((phases.size, 2, 2), dtype=np.complex128)
+        blocks[:, 0, :] = s
+        blocks[:, 1, 0] = s * phases
+        blocks[:, 1, 1] = -s * phases
+        ops.append(GateOp(blocks, tuple(range(i + 1, n)) + (i,), label=f"QFT(qubit {i})"))
+    if n > 1:
+        index = np.arange(1 << n)
+        reverse = np.zeros_like(index)
+        for b in range(n):
+            reverse |= ((index >> b) & 1) << (n - 1 - b)
+        ops.append(GateOp(reverse, tuple(range(n)), label="bit reversal"))
+    return tuple(ops)
+
+
 def build_qft(num_qubits: int) -> Circuit:
-    """Fourier transform circuit whose matrix is F[j,k] = w^(jk)/sqrt(N)."""
-    circ = Circuit(num_qubits)
-    for i in range(num_qubits):
-        circ.append(hadamard(i))
-        for j in range(i + 1, num_qubits):
-            circ.append(cphase(2 * math.pi / (1 << (j - i + 1)), control=j, target=i))
-    for i in range(num_qubits // 2):
-        circ.append(swap(i, num_qubits - 1 - i))
-    return circ
+    """Fourier transform circuit whose matrix is F[j,k] = w^(jk)/sqrt(N).
+
+    The semiclassical form (Griffiths & Niu, quant-ph/9511007) in n + 1
+    gates.  Qubit i gets one uniformly controlled single-qubit gate on
+    targets (i+1, ..., n-1, i): its block for the value c of qubits
+    i+1 .. n-1 is the Hadamard fused with every controlled phase those
+    qubits apply to qubit i, diag(1, e^(2 pi i c / 2**(n-i))) H.  One bit
+    reversal gather map, for n > 1, replaces the floor(n/2) SWAPs.  The
+    blocks together hold 2**n - 1 2x2 matrices.  The gates are built
+    once per width and shared; the circuit around them is new on each
+    call, so callers may extend it.
+    """
+    return Circuit(num_qubits, _qft_ops(int(num_qubits)))
 
 
 def build_phase_estimation(
@@ -107,6 +141,13 @@ def build_phase_estimation(
     On input |0...0>|u_k> the circuit produces |lambda_k>|u_k> exactly when
     lambda_k is an integer in [0, 2**eig_bits); superpositions of eigenvectors
     come out entangled with their eigenvalue register states.
+
+    The circuit has 3n + 1 gates for n = eig_bits > 1 (3 for n = 1): a
+    Hadamard per register qubit, one controlled exp(2 pi i A 2**p / 2**n)
+    per register qubit, and the inverse of ``build_qft(n)``, whose n
+    uniformly controlled gates and bit reversal are shared across calls.
+    Only the Hadamards and the controlled exponentials are built and
+    checked on each call.
     """
     lam_qubits = tuple(int(q) for q in lam_qubits)
     target_qubits = tuple(int(q) for q in target_qubits)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .builders import SYMMETRY_ATOL
 from .complexity import cost_baseline, cost_proposed, gate_ratio
 from .pipeline import (
     AllComponentsFiltered,
@@ -64,7 +65,7 @@ def _matrix_from_rows(rows: list[list[float]], origin: str) -> HermitianInput:
             raise NotSquare(f"{origin}: {d} rows but row {lineno} has {len(row)} columns")
     arr = np.array(rows, dtype=np.float64)
     delta = np.abs(arr - arr.T)
-    if delta.max() > 1e-9:
+    if delta.max() > SYMMETRY_ATOL:
         i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)
         raise NotSymmetric(
             f"{origin}: entry ({i},{j})={arr[i, j]!r} != entry ({j},{i})={arr[j, i]!r}"

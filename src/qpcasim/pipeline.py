@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import (
+    SYMMETRY_ATOL,
     PhaseEstimationSpec,
     SpectralPrecisionWarning,
     build_phase_estimation,
@@ -81,7 +82,7 @@ class HermitianInput:
         m = np.array(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix shape {m.shape} is not square")
-        if np.max(np.abs(m - m.T)) > 1e-9:
+        if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL:
             raise ValueError("matrix is not symmetric")
         eigvals, eigvecs = np.linalg.eigh(m)
         order = np.argsort(eigvals)[::-1]

@@ -45,7 +45,9 @@ A gate on k target qubits holds one of three forms in ``GateOp.matrix``:
   matrix diag(M_0, ..., M_{B-1}): the leading log2(B) targets select the
   block, which acts on the remaining targets.  A uniformly controlled
   rotation, one rotation per value of its control qubits, is one such gate;
-  state preparation emits one per level of its binary tree.
+  state preparation emits one per level of its binary tree, and the QFT one
+  per qubit, each block a Hadamard fused with the controlled phases that
+  qubit receives.
 """
 
 from __future__ import annotations
@@ -386,7 +388,7 @@ def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None
     sub = rows.reshape((rows.shape[0],) + (2,) * (num_qubits - top))[tuple(index)]
     # axis 0 is the row; each fixed control before a target removes one axis ahead of it
     axes = [t - top + 1 - sum(cq < t for cq, _ in op.controls) for t in op.targets]
-    sub = np.moveaxis(sub, axes, range(len(axes)))
+    sub = sub.transpose(axes + [a for a in range(sub.ndim) if a not in axes])
     flat = sub.reshape(1 << len(axes), -1)
     gate = op.matrix
     if gate.ndim == 1:

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from qpcasim import Circuit, ry, state_prep_tree
+from qpcasim import Circuit, GateOp, cphase, hadamard, ry, state_prep_tree, swap
+from qpcasim.builders import _exp_matrix
 
 
 def gate_matrix(op) -> np.ndarray:
@@ -77,6 +78,36 @@ def state_prep_reference(vector, qubits=None, num_qubits=None):
                 (qubits[b], (node >> (level - 1 - b)) & 1) for b in range(level)
             )
             circ.append(ry(float(theta), qubits[level], controls=controls))
+    return circ
+
+
+def qft_reference(num_qubits: int) -> Circuit:
+    """Textbook QFT: per qubit i a Hadamard, then one controlled phase
+    2 pi / 2**(j-i+1) from each qubit j > i; then floor(n/2) SWAPs."""
+    circ = Circuit(num_qubits)
+    for i in range(num_qubits):
+        circ.append(hadamard(i))
+        for j in range(i + 1, num_qubits):
+            circ.append(cphase(2 * np.pi / (1 << (j - i + 1)), control=j, target=i))
+    for i in range(num_qubits // 2):
+        circ.append(swap(i, num_qubits - 1 - i))
+    return circ
+
+
+def phase_estimation_reference(spec, lam_qubits, target_qubits, num_qubits=None) -> Circuit:
+    """Textbook phase estimation: a Hadamard on each register qubit, one
+    controlled exp(2 pi i A 2**(n-1-i) / 2**n) per register qubit i, then the
+    inverse of ``qft_reference`` on the register."""
+    lam_qubits, target_qubits = tuple(lam_qubits), tuple(target_qubits)
+    if num_qubits is None:
+        num_qubits = max(lam_qubits + target_qubits) + 1
+    n = spec.eig_bits
+    circ = Circuit(num_qubits)
+    for lq in lam_qubits:
+        circ.append(hadamard(lq))
+    for i, lq in enumerate(lam_qubits):
+        circ.append(GateOp(_exp_matrix(spec, n - 1 - i), target_qubits, controls=((lq, 1),)))
+    circ.extend(qft_reference(n).inverse().remap(lam_qubits, num_qubits))
     return circ
 
 

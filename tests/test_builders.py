@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
-from helpers import dft_matrix, random_state, state_prep_reference
+from helpers import (
+    dft_matrix,
+    matrix_with_spectrum,
+    phase_estimation_reference,
+    qft_reference,
+    random_state,
+    state_prep_reference,
+)
 from qpcasim import (
     PhaseEstimationSpec,
     SpectralPrecisionWarning,
     StateVector,
+    builders,
     build_phase_estimation,
     build_qft,
     build_state_prep,
     circuit_unitary,
+    hadamard,
     matrix_exponential_unitary,
     run,
     sim,
@@ -26,10 +35,37 @@ class TestQft:
         want = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         assert np.max(np.abs(got - want)) < 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_matches_dft_matrix(self, n):
         got = circuit_unitary(build_qft(n))
         assert np.max(np.abs(got - dft_matrix(n))) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_textbook_reference_matches_dft_matrix(self, n):
+        got = circuit_unitary(qft_reference(n))
+        assert np.max(np.abs(got - dft_matrix(n))) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_one_uniformly_controlled_gate_per_qubit_then_bit_reversal(self, n):
+        ops = build_qft(n).ops
+        assert len(ops) == n + (n > 1)
+        for i, op in enumerate(ops[:n]):
+            assert op.targets == tuple(range(i + 1, n)) + (i,)
+            assert op.controls == ()
+            assert op.matrix.shape == (1 << (n - 1 - i), 2, 2)
+        if n > 1:
+            reverse = ops[n]
+            assert reverse.targets == tuple(range(n))
+            for x in range(1 << n):
+                bits = format(x, f"0{n}b")
+                assert reverse.matrix[x] == int(bits[::-1], 2)
+
+    def test_gates_shared_but_circuit_fresh(self):
+        first = build_qft(3)
+        first.append(hadamard(0))
+        second = build_qft(3)
+        assert len(second) == 4 and len(first) == 5
+        assert all(a is b for a, b in zip(first, second))
 
     def test_inverse_is_identity(self):
         c = build_qft(3) + build_qft(3).inverse()
@@ -162,17 +198,40 @@ class TestPhaseEstimation:
         out = run(run(StateVector(vec), pe), pe.inverse()).amps
         assert np.max(np.abs(out - vec)) < 1e-9
 
+    def test_matches_textbook_reference(self):
+        # H, c-exp and the n+1-gate inverse QFT against H, c-exp and the
+        # H / controlled-phase / SWAP inverse QFT, as whole unitaries
+        rng = np.random.default_rng(29)
+        for n in range(1, 6):
+            for dim in (2, 4):
+                m = dim.bit_length() - 1
+                integer = rng.integers(0, 1 << n, size=dim).astype(float)
+                approx = rng.uniform(0, (1 << n) - 1, size=dim)
+                for lams in (integer, approx):
+                    spec = PhaseEstimationSpec(matrix_with_spectrum(rng, lams), n)
+                    lam, target = tuple(range(n)), tuple(range(n, n + m))
+                    got = circuit_unitary(build_phase_estimation(spec, lam, target))
+                    want = circuit_unitary(phase_estimation_reference(spec, lam, target))
+                    assert np.max(np.abs(got - want)) < 1e-12, (n, dim, lams)
+
     def test_checks_each_matrix_once(self, monkeypatch):
-        # H, c-exp and inverse-QFT gates are checked when built; the QFT's
-        # inverse and its move onto the register reuse the checked matrices
+        # the first build at a width checks every gate once; the inverse
+        # QFT's gates are kept for the width, so later builds check only the
+        # Hadamards and the controlled exponentials
         checks = []
-        defect = sim._unitarity_defect
+        defect, is_perm = sim._unitarity_defect, sim._is_permutation
         monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checks.append(1) or defect(m))
+        monkeypatch.setattr(sim, "_is_permutation", lambda g: checks.append(1) or is_perm(g))
+        builders._qft_ops.cache_clear()
         for n in (1, 2, 3, 6):
-            checks.clear()
             spec = PhaseEstimationSpec(np.diag([1.0, 0.0]), n)
+            checks.clear()
             pe = build_phase_estimation(spec, range(1, n + 1), (0,))
-            assert len(checks) == len(pe) == 2 * n + n * (n + 1) // 2 + n // 2
+            assert len(checks) == len(pe) == 3 * n + (n > 1)
+            checks.clear()
+            again = build_phase_estimation(spec, range(1, n + 1), (0,))
+            assert len(checks) == 2 * n
+            assert len(again) == len(pe)
 
     def test_register_size_mismatch(self, matrix_a):
         spec = PhaseEstimationSpec(matrix_a, eig_bits=2)

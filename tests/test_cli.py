@@ -202,6 +202,18 @@ class TestRunCommand:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_symmetry_tolerance(self, tmp_path):
+        # 5e-10 of asymmetry runs end to end, 2e-9 is refused at parsing
+        near, far = tmp_path / "near.csv", tmp_path / "far.csv"
+        near.write_text("1.5,0.5\n0.5000000005,1.5\n")
+        far.write_text("1.5,0.5\n0.500000002,1.5\n")
+        assert main(["run", "--matrix", str(near), "--tau", "1", "--eig-bits", "2",
+                     "--out", str(tmp_path / "near.json")]) == EXIT_OK
+        with pytest.raises(NotSymmetric):
+            parse_matrix(str(far))
+        assert main(["run", "--matrix", str(far), "--tau", "1", "--eig-bits", "2",
+                     "--out", str(tmp_path / "far.json")]) == EXIT_INPUT
+
     def test_odd_dimension_exits_two(self, tmp_path):
         p = tmp_path / "odd.csv"
         p.write_text("1,0,0\n0,1,0\n0,0,1\n")

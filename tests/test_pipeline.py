@@ -78,6 +78,17 @@ class TestHermitianInput:
         with pytest.raises(ValueError, match="square"):
             HermitianInput.from_matrix(np.ones((2, 3)))
 
+    def test_one_symmetry_tolerance_from_input_to_phase_estimation(self):
+        # an asymmetry the input accepts must not be refused further down
+        near = np.array([[1.5, 0.5], [0.5 + 5e-10, 1.5]])
+        r = run_qpca(HermitianInput.from_matrix(near), QpcaConfig(tau=1.0, n_bits=2))
+        assert r.kept_eigenvalues == pytest.approx((2.0,)) and r.fidelity > 1 - 1e-9
+        far = np.array([[1.5, 0.5], [0.5 + 2e-9, 1.5]])
+        with pytest.raises(ValueError, match="symmetric"):
+            HermitianInput.from_matrix(far)
+        with pytest.raises(ValueError, match="symmetric"):
+            PhaseEstimationSpec(far, eig_bits=2)
+
     def test_zero_matrix_has_no_encoding(self):
         hin = HermitianInput.from_matrix(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="zero"):
