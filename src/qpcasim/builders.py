@@ -73,9 +73,17 @@ class PhaseEstimationSpec:
         return self._eigvals.copy()
 
 
+def _exp_matrices(spec: PhaseEstimationSpec, powers) -> np.ndarray:
+    """exp(2*pi*i * A * 2**p / 2**eig_bits) for each p in ``powers``, as one
+    (len(powers), dim, dim) stack from one batched product over the
+    eigendecomposition."""
+    weights = np.left_shift(1, np.asarray(powers, dtype=np.int64))[:, None]
+    phases = np.exp(2j * np.pi * spec._eigvals * weights / spec.scale)
+    return (spec._eigvecs * phases[:, None, :]) @ spec._eigvecs.T
+
+
 def _exp_matrix(spec: PhaseEstimationSpec, power: int) -> np.ndarray:
-    phases = np.exp(2j * np.pi * spec._eigvals * (1 << power) / spec.scale)
-    return (spec._eigvecs * phases) @ spec._eigvecs.T
+    return _exp_matrices(spec, (power,))[0]
 
 
 def matrix_exponential_unitary(spec: PhaseEstimationSpec, power: int) -> GateOp:
@@ -130,6 +138,23 @@ def build_qft(num_qubits: int) -> Circuit:
     return Circuit(num_qubits, _qft_ops(int(num_qubits)))
 
 
+@functools.lru_cache
+def _register_gates(lam_qubits: tuple[int, ...]) -> tuple[tuple[GateOp, ...], tuple[GateOp, ...]]:
+    """The gates of phase estimation that depend only on the register: the
+    Hadamard layer and the inverse of ``build_qft(n)``, wired onto
+    ``lam_qubits``.  Built and checked once per register placement, each
+    with its inverse kept (the inverse QFT's is the forward QFT; H and the
+    bit reversal are their own), so a circuit's ``inverse`` reuses them.
+    The circuit width is not part of the key: a gate keeps a kernel plan
+    per width it runs at.
+    """
+    h = hadamard(0)
+    hadamards = tuple(h.remap((lq,)).keep_inverse() for lq in lam_qubits)
+    qft = _qft_ops(len(lam_qubits))
+    inverse_qft = tuple(op.remap(lam_qubits).keep_inverse() for op in reversed(qft))
+    return hadamards, inverse_qft
+
+
 def build_phase_estimation(
     spec: PhaseEstimationSpec,
     lam_qubits,
@@ -144,10 +169,12 @@ def build_phase_estimation(
 
     The circuit has 3n + 1 gates for n = eig_bits > 1 (3 for n = 1): a
     Hadamard per register qubit, one controlled exp(2 pi i A 2**p / 2**n)
-    per register qubit, and the inverse of ``build_qft(n)``, whose n
-    uniformly controlled gates and bit reversal are shared across calls.
-    Only the Hadamards and the controlled exponentials are built and
-    checked on each call.
+    per register qubit, and the inverse of ``build_qft(n)``: n uniformly
+    controlled gates and a bit reversal.  The Hadamards and the inverse QFT
+    depend only on the register; they are built, checked and inverted once
+    per register placement and shared, so the circuit's ``inverse`` reuses
+    them.  Each call builds only the n controlled exponentials, from one
+    batched product, checked together by one unitarity test.
     """
     lam_qubits = tuple(int(q) for q in lam_qubits)
     target_qubits = tuple(int(q) for q in target_qubits)
@@ -164,22 +191,17 @@ def build_phase_estimation(
     if num_qubits is None:
         num_qubits = max(lam_qubits + target_qubits) + 1
 
-    circ = Circuit(num_qubits)
-    for lq in lam_qubits:
-        circ.append(hadamard(lq))
     n = spec.eig_bits
-    for i, lq in enumerate(lam_qubits):
-        # register qubit i carries bit weight 2**(n-1-i)
-        circ.append(
-            GateOp(
-                _exp_matrix(spec, n - 1 - i),
-                target_qubits,
-                controls=((lq, 1),),
-                label=f"c-exp(2pi.i.A.2^{n - 1 - i}/{spec.scale})",
-            )
-        )
-    circ.extend(build_qft(n).inverse().remap(lam_qubits, num_qubits))
-    return circ
+    hadamards, inverse_qft = _register_gates(lam_qubits)
+    # register qubit i carries bit weight 2**(n-1-i)
+    powers = range(n - 1, -1, -1)
+    exps = GateOp.stack(
+        _exp_matrices(spec, powers),
+        target_qubits,
+        [((lq, 1),) for lq in lam_qubits],
+        [f"c-exp(2pi.i.A.2^{p}/{spec.scale})" for p in powers],
+    )
+    return Circuit(num_qubits, hadamards + exps + inverse_qft)
 
 
 @dataclass(eq=False)

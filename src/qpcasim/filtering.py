@@ -11,6 +11,7 @@ the table can be checked against the real-valued shrinkage map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,13 +95,32 @@ def newton_reciprocal(lam, iters: int, frac_bits: int | None = None) -> FixedPoi
         raise ZeroEigenvalue(f"cannot take reciprocal of {lam_value}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-
-    z = 2.0 ** -math.ceil(math.log2(lam_value))
-    for _ in range(iters):
-        z = 2.0 * z - z * z * lam_value
-    raw = round(z * (1 << frac_bits))
+    raw = int(_newton_raws(np.array([lam_value]), iters, frac_bits)[0])
     bits = max(frac_bits + 1, raw.bit_length())  # z can reach exactly 1.0 at lam = 1
     return FixedPoint(raw=raw, bits=bits, frac=frac_bits)
+
+
+def _newton_raws(lam: np.ndarray, iters: int, frac_bits: int) -> np.ndarray:
+    """``newton_reciprocal``'s raw values, as floats, for an array of
+    positive ``lam``: the seed 2**-ceil(log2(lam)), ``iters`` steps of
+    z <- 2z - z*z*lam, one rounding to ``frac_bits`` fractional bits (half
+    to even, as Python's ``round``)."""
+    z = np.ldexp(1.0, -np.ceil(np.log2(lam)).astype(np.int64))
+    for _ in range(iters):
+        z = 2.0 * z - z * z * lam
+    return np.rint(np.ldexp(z, frac_bits))
+
+
+@functools.lru_cache
+def _register_reciprocals(n_bits: int, iters: int, frac_bits: int) -> np.ndarray:
+    """``newton_reciprocal`` of every n-bit register value, with
+    ``frac_bits`` fractional bits, as read-only floats; entry 0, which has
+    none, is 0.  They depend only on the register, so they are computed once
+    per width, iteration count and precision."""
+    z = np.zeros(1 << n_bits)
+    z[1:] = np.ldexp(_newton_raws(np.arange(1, 1 << n_bits), iters, frac_bits), -frac_bits)
+    z.setflags(write=False)
+    return z
 
 
 def shrink(lam: float, tau: float) -> float:
@@ -149,14 +169,15 @@ class FilterParams:
     def tau_fixed(self) -> FixedPoint:
         return FixedPoint.from_real(self.tau, self.frac_bits)
 
-    def keeps(self, lam: float) -> bool:
+    def keeps(self, lam):
         """lam > tau, reading lam within ``SPECTRUM_ATOL`` of an integer as the
         register value it lands on, round(lam) mod 2**n_bits.  Those values
         are integers, so this is lam > floor(tau), as an n-bit comparator decides.
+        ``lam`` may be a number or an array; the answer has its shape.
         """
-        reg = round(float(lam))
-        if abs(lam - reg) <= SPECTRUM_ATOL:
-            lam = reg % (1 << self.n_bits)
+        lam = np.asarray(lam, dtype=np.float64)
+        reg = np.rint(lam)
+        lam = np.where(np.abs(lam - reg) <= SPECTRUM_ATOL, reg % (1 << self.n_bits), lam)
         return lam > self.tau
 
 
@@ -176,18 +197,22 @@ class FilterTable:
         n = self.params.n_bits
         if len(self.y_raws) != (1 << n):
             raise ValueError(f"table needs {1 << n} entries, got {len(self.y_raws)}")
-        last_kept = 0
-        for lam, y in enumerate(self.y_raws):
-            if not 0 <= y < (1 << n):
-                raise ValueError(f"y value {y} does not fit the {n}-bit register")
-            if (y > 0) != self.params.keeps(lam):
-                raise ValueError(
-                    f"threshold dichotomy violated at lambda={lam}: y={y}, tau={self.params.tau}"
-                )
-            if y > 0:
-                if y < last_kept:
-                    raise ValueError(f"y not monotone at lambda={lam}")
-                last_kept = y
+        y = np.array(self.y_raws)
+        if min(self.y_raws) < 0 or max(self.y_raws) >= 1 << n:
+            wide = np.flatnonzero((y < 0) | (y >= 1 << n))[0]
+            raise ValueError(f"y value {y[wide]} does not fit the {n}-bit register")
+        kept = y > 0
+        split = kept != self.params.keeps(np.arange(1 << n))
+        if np.count_nonzero(split):
+            lam = np.flatnonzero(split)[0]
+            raise ValueError(
+                f"threshold dichotomy violated at lambda={lam}: y={y[lam]}, tau={self.params.tau}"
+            )
+        kept_y = y[kept]
+        falls = kept_y[1:] < kept_y[:-1]
+        if np.count_nonzero(falls):
+            lam = np.flatnonzero(kept)[np.flatnonzero(falls)[0] + 1]
+            raise ValueError(f"y not monotone at lambda={lam}")
 
     @property
     def frac_bits(self) -> int:
@@ -210,23 +235,19 @@ class FilterTable:
 def build_filter_table(params: FilterParams) -> FilterTable:
     """Tabulate y(lambda) = 1 - tau/lambda over the register, in fixed point.
 
-    Dropped values go straight to 0 (no reciprocal needed); the kept side
-    uses the Newton reciprocal against the grid-rounded tau, clamped into
-    [1, 2**n - 1] so that rounding can neither drop a kept component to zero
-    (tau may round up onto it) nor overflow the y register.
+    Dropped values go to 0; the kept side uses the Newton reciprocal
+    against the grid-rounded tau, clamped into [1, 2**n - 1] so that
+    rounding can neither drop a kept component to zero (tau may round up
+    onto it) nor overflow the y register.  One numpy pass over the 2**n
+    register values; their reciprocals depend only on the register, so
+    they are computed once per width and iteration count.
     """
     n = params.n_bits
     f = params.frac_bits
-    tau_fx = params.tau_fixed.value
-    y_raws = []
-    for lam in range(1 << n):
-        if not params.keeps(lam):
-            y_raws.append(0)
-            continue
-        z = newton_reciprocal(FixedPoint.integer(lam, n), params.iterations, frac_bits=f)
-        y = (1.0 - tau_fx * z.value) * (1 << f)
-        y_raws.append(min((1 << f) - 1, max(1, round(y))))
-    return FilterTable(params=params, y_raws=tuple(y_raws))
+    z = _register_reciprocals(n, params.iterations, f)
+    y = np.rint(np.ldexp(1.0 - params.tau_fixed.value * z, f))
+    y = np.minimum(np.maximum(y, 1), (1 << f) - 1) * params.keeps(np.arange(1 << n))
+    return FilterTable(params=params, y_raws=tuple(y.astype(np.int64).tolist()))
 
 
 def exact_shrink_table(params: FilterParams) -> FilterTable:
@@ -237,11 +258,10 @@ def exact_shrink_table(params: FilterParams) -> FilterTable:
     only the zero/nonzero pattern of y survives uncomputation.
     """
     scale = 1 << params.frac_bits
+    kept = params.keeps(np.arange(1 << params.n_bits))
     y_raws = tuple(
-        min(scale - 1, max(1, math.ceil(shrink(lam, params.tau) * scale)))
-        if params.keeps(lam)
-        else 0
-        for lam in range(1 << params.n_bits)
+        min(scale - 1, max(1, math.ceil(shrink(lam, params.tau) * scale))) if keep else 0
+        for lam, keep in enumerate(kept.tolist())
     )
     return FilterTable(params=params, y_raws=y_raws)
 

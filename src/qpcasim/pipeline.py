@@ -160,15 +160,14 @@ def classical_pca_oracle(hin: HermitianInput, params: FilterParams) -> tuple[int
     Returns (number kept, expected data-register state).  Raises
     ``AllComponentsFiltered`` when nothing survives.
     """
-    kept = [k for k, lam in enumerate(hin.eigenvalues) if params.keeps(lam)]
-    if not kept:
+    kept = params.keeps(hin.eigenvalues)
+    if not kept.any():
         raise AllComponentsFiltered(f"no eigenvalue exceeds tau={params.tau}")
-    vec = np.zeros(hin.dim * hin.dim)
-    for k in kept:
-        u = hin.eigenvectors[:, k]
-        vec += hin.eigenvalues[k] * np.kron(u, u)
-    vec /= np.sqrt(sum(hin.eigenvalues[k] ** 2 for k in kept))
-    return len(kept), vec
+    lam, u = hin.eigenvalues[kept], hin.eigenvectors[:, kept]
+    # sum_k lam_k (u_k tensor u_k) is the row-major flattening of sum_k lam_k u_k u_k^T
+    vec = ((u * lam) @ u.T).reshape(-1)
+    vec /= np.sqrt(sum(lam**2))
+    return lam.size, vec
 
 
 def fidelity(a, b) -> float:
@@ -199,10 +198,17 @@ def _work_rows(state: StateVector, layout: RegisterLayout):
     return anc, y, lam, block
 
 
+def _row_masses(block: np.ndarray) -> np.ndarray:
+    """Probability mass of each row of a complex block, summed from its real
+    and imaginary views without a block-sized temporary."""
+    re, im = block.real, block.imag
+    return np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+
+
 def _work_register_residual(state: StateVector, layout: RegisterLayout) -> float:
     """Probability mass with y or lambda register away from |0>."""
     _, y, lam, block = _work_rows(state, layout)
-    return float(np.sum(np.abs(block[(y != 0) | (lam != 0)]) ** 2))
+    return float(np.sum(_row_masses(block)[(y != 0) | (lam != 0)]))
 
 
 def uncompute(
@@ -233,8 +239,7 @@ def uncompute(
 def lambda_register_histogram(state: StateVector, layout: RegisterLayout) -> dict[int, float]:
     """Marginal probability of each lambda-register value, zeros dropped."""
     _, _, lam, block = _work_rows(state, layout)
-    row_mass = np.sum(np.abs(block) ** 2, axis=1)
-    mass = np.bincount(lam, weights=row_mass, minlength=1 << layout.eig_bits)
+    mass = np.bincount(lam, weights=_row_masses(block), minlength=1 << layout.eig_bits)
     return {int(v): float(p) for v, p in enumerate(mass) if p > 1e-12}
 
 
@@ -295,7 +300,7 @@ def run_qpca(
             f"filter table is for tau={params.tau}, n_bits={params.n_bits}; "
             f"config has tau={config.tau}, n_bits={config.n_bits}"
         )
-    kept_eigenvalues = tuple(float(lam) for lam in hin.eigenvalues if params.keeps(lam))
+    kept_eigenvalues = tuple(hin.eigenvalues[params.keeps(hin.eigenvalues)].tolist())
 
     prep = build_state_prep(
         hin.amplitude_encoding, qubits=layout.data_reg, num_qubits=layout.num_qubits

@@ -33,6 +33,20 @@ In the pipeline, phase estimation touches only the lambda register and the
 row half of the data register while the ancilla and y register hold one or
 two values, so every stage works on one or two times 2**(n+m) amplitudes.
 
+Fixed cost per gate.  At those sizes a gate costs mostly its set-up, so a
+gate computes its kernel plan once per split and keeps it
+(``GateOp._plans``): for ``_apply_into`` the index fixing its controls, the
+transpose bringing its targets forward and the shapes, keyed by
+(num_qubits, top); for ``_permute_keys`` its bit positions and control
+masks in a row key, keyed by top.  ``_permute_keys`` reads the target
+values through one bit matrix of the keys, so it makes a fixed number of
+numpy calls for any wiring.  Gates built once and shared (phase
+estimation's Hadamards and inverse QFT, one set per register placement)
+also keep their inverse (``GateOp.keep_inverse``), so ``dagger`` and
+``Circuit.inverse`` return it instead of building it again.  Per-call gates
+keep no inverse: the filter's would hold a second 2**(2n)-entry map for as
+long as the filter lives.
+
 A gate on k target qubits holds one of three forms in ``GateOp.matrix``:
 
 * a dense (2**k x 2**k) complex unitary M, applied as ``M @ amps``;
@@ -221,6 +235,13 @@ def _unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(m.shape[-1]))))
 
 
+def _check_unitary(m: np.ndarray) -> None:
+    """Raise unless the dense matrix, or every matrix of a stack, is unitary."""
+    defect = _unitarity_defect(m)
+    if defect > UNITARY_ATOL:
+        raise NonUnitaryMatrixError(f"matrix deviates from unitarity by {defect:.3e}")
+
+
 def _is_permutation(g: np.ndarray) -> bool:
     """True when ``g`` holds every value of range(len(g)) exactly once."""
     size = g.size
@@ -250,9 +271,12 @@ class GateOp:
 
     ``controls`` is a sequence of (qubit, polarity) pairs; polarity 1 fires
     on |1>, polarity 0 on |0>.  Bare qubit indices mean polarity 1.
+
+    A gate keeps its kernel plans, one per split of the state it has been
+    applied at, and, after ``keep_inverse``, its inverse.
     """
 
-    __slots__ = ("matrix", "targets", "controls", "label")
+    __slots__ = ("matrix", "targets", "controls", "label", "_lo", "_hi", "_inverse", "_plans")
 
     def __init__(self, matrix, targets, controls=(), label: str | None = None):
         targets, controls = _wiring(targets, controls)
@@ -272,10 +296,25 @@ class GateOp:
                 fits = m.shape == (1 << k, 1 << k)
             if not fits:
                 raise ValueError(f"matrix shape {m.shape} does not match {k} target qubit(s)")
-            defect = _unitarity_defect(m)
-            if defect > UNITARY_ATOL:
-                raise NonUnitaryMatrixError(f"matrix deviates from unitarity by {defect:.3e}")
+            _check_unitary(m)
         self._set(m, targets, controls, label)
+
+    @classmethod
+    def stack(cls, matrices, targets, controls, labels) -> tuple["GateOp", ...]:
+        """One dense gate per matrix of the (G, 2**k, 2**k) stack ``matrices``,
+        gate g acting on ``targets`` under ``controls[g]`` with ``labels[g]``.
+        The stack is checked with one vectorised unitarity test, the test G
+        constructions would each make."""
+        m = np.array(matrices, dtype=np.complex128)
+        size = 1 << len(targets)
+        if m.shape != (len(labels), size, size) or len(controls) != len(labels):
+            raise ValueError(
+                f"matrix stack of shape {m.shape} does not match {len(labels)} labels, "
+                f"{len(controls)} control sets and {len(targets)} target qubit(s)"
+            )
+        _check_unitary(m)
+        m.setflags(write=False)
+        return tuple(cls._trusted(g, targets, c, lab) for g, c, lab in zip(m, controls, labels))
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray, targets, controls, label) -> "GateOp":
@@ -291,15 +330,38 @@ class GateOp:
         self.targets = targets
         self.controls = controls
         self.label = label
+        touched = targets + tuple(q for q, _ in controls)
+        self._lo, self._hi = min(touched), max(touched)
+        self._inverse = None
+        self._plans = {}
 
-    def dagger(self) -> "GateOp":
-        """Inverse gate, same wiring: the inverse permutation of a gather map,
-        the conjugate transpose of a dense matrix or of each block."""
+    def _build_inverse(self) -> "GateOp":
         if self.matrix.ndim == 1:
             inverse = _inverse_map(self.matrix)
         else:
             inverse = _conj_transpose(self.matrix)
         return GateOp._trusted(inverse, self.targets, self.controls, self.label)
+
+    def dagger(self) -> "GateOp":
+        """Inverse gate, same wiring: the inverse permutation of a gather map,
+        the conjugate transpose of a dense matrix or of each block.  Built
+        anew on each call, unless the gate keeps its inverse."""
+        if self._inverse is not None:
+            return self._inverse
+        return self._build_inverse()
+
+    def keep_inverse(self) -> "GateOp":
+        """Build the inverse once and keep it: from now on ``dagger`` returns
+        it, and its ``dagger`` returns this gate.  A self-inverse gate keeps
+        itself.  For gates built once and shared; a per-call gate that kept
+        its inverse would hold both matrices for as long as either lives.
+        Returns the inverse."""
+        if self._inverse is None:
+            inverse = self._build_inverse()
+            if np.array_equal(inverse.matrix, self.matrix):
+                inverse = self
+            self._inverse, inverse._inverse = inverse, self
+        return self._inverse
 
     def remap(self, qubit_map: Sequence[int]) -> "GateOp":
         """Rewire the gate through ``qubit_map`` (old index -> new index)."""
@@ -311,10 +373,10 @@ class GateOp:
         )
 
     def max_qubit(self) -> int:
-        return max(list(self.targets) + [q for q, _ in self.controls])
+        return self._hi
 
     def min_qubit(self) -> int:
-        return min(list(self.targets) + [q for q, _ in self.controls])
+        return self._lo
 
     def __repr__(self) -> str:
         name = self.label or f"{1 << len(self.targets)}x{1 << len(self.targets)}"
@@ -372,6 +434,27 @@ class Circuit:
         return iter(self._ops)
 
 
+def _rows_plan(op: GateOp, num_qubits: int, top: int) -> tuple:
+    """How ``_apply_into`` views a block for ``op``, computed once per gate and
+    split and kept on the gate: the per-qubit shape of the rows, the index
+    fixing the controls, the transpose moving the targets to the front, and
+    the shape the gate multiplies."""
+    key = ("rows", num_qubits, top)
+    plan = op._plans.get(key)
+    if plan is None:
+        index = [slice(None)] * (num_qubits - top + 1)
+        for cq, pol in op.controls:
+            index[cq - top + 1] = pol
+        # axis 0 is the row; each fixed control before a target removes one axis ahead of it
+        axes = [t - top + 1 - sum(cq < t for cq, _ in op.controls) for t in op.targets]
+        ndim = num_qubits - top + 1 - len(op.controls)
+        order = tuple(axes + [a for a in range(ndim) if a not in axes])
+        gate = op.matrix
+        flat = gate.shape[:2] + (-1,) if gate.ndim == 3 else (1 << len(axes), -1)
+        plan = op._plans[key] = ((-1,) + (2,) * (num_qubits - top), tuple(index), order, flat)
+    return plan
+
+
 def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None:
     """Apply ``op`` in place to every row of ``rows``.
 
@@ -382,45 +465,47 @@ def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None
     controlled subspace is copied, once, into the (2**k, rest) block the
     gate acts on.
     """
-    index = [slice(None)] * (num_qubits - top + 1)
-    for cq, pol in op.controls:
-        index[cq - top + 1] = pol
-    sub = rows.reshape((rows.shape[0],) + (2,) * (num_qubits - top))[tuple(index)]
-    # axis 0 is the row; each fixed control before a target removes one axis ahead of it
-    axes = [t - top + 1 - sum(cq < t for cq, _ in op.controls) for t in op.targets]
-    sub = sub.transpose(axes + [a for a in range(sub.ndim) if a not in axes])
-    flat = sub.reshape(1 << len(axes), -1)
+    shape, index, order, flat = _rows_plan(op, num_qubits, top)
+    sub = rows.reshape(shape)[index].transpose(order)
     gate = op.matrix
     if gate.ndim == 1:
-        new = flat[gate]
-    elif gate.ndim == 2:
-        new = gate @ flat
+        new = sub.reshape(flat)[gate]
     else:
-        new = gate @ flat.reshape(gate.shape[0], gate.shape[1], -1)
+        new = gate @ sub.reshape(flat)
     sub[...] = new.reshape(sub.shape)
+
+
+def _keys_plan(op: GateOp, top: int) -> tuple:
+    """How ``_permute_keys`` reads and writes ``op``'s qubits in a row key,
+    computed once per gate and ``top`` and kept on the gate: the targets'
+    bit positions, their weights in the target value, their bits in the key,
+    the mask that clears them, and the mask and value the controls must
+    read."""
+    key = ("keys", top)
+    plan = op._plans.get(key)
+    if plan is None:
+        shifts = top - 1 - np.array(op.targets, dtype=np.intp)
+        weights = 1 << np.arange(len(op.targets) - 1, -1, -1, dtype=np.intp)
+        fire_mask = sum(1 << (top - 1 - q) for q, _ in op.controls)
+        fire_value = sum(pol << (top - 1 - q) for q, pol in op.controls)
+        places = 1 << shifts
+        plan = op._plans[key] = (shifts, weights, places, ~int(places.sum()), fire_mask, fire_value)
+    return plan
 
 
 def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
     """Row keys after the gather map ``op``, all of whose qubits lie in
     qubits 0 .. top-1: a row whose controls fire moves from target value j
-    to the value i with g[i] = j.  O(len(keys)); no amplitude moves."""
-    def bit(q):
-        return (keys >> (top - 1 - q)) & 1
-
-    fire = np.ones(keys.size, dtype=bool)
-    for q, pol in op.controls:
-        fire &= bit(q) == pol
-    value = np.zeros_like(keys)
-    for t in op.targets:
-        value = (value << 1) | bit(t)
+    to the value i with g[i] = j.  O(len(keys)) in a fixed number of numpy
+    calls, through the (len(keys), k) matrix of the target bits; no
+    amplitude moves."""
+    shifts, weights, places, clear, fire_mask, fire_value = _keys_plan(op, top)
+    value = ((keys[:, None] >> shifts) & 1) @ weights
     value = _inverse_map(op.matrix)[value]
-    moved = keys.copy()
-    k = len(op.targets)
-    for i, t in enumerate(op.targets):
-        shift = top - 1 - t
-        moved &= ~(1 << shift)
-        moved |= ((value >> (k - 1 - i)) & 1) << shift
-    return np.where(fire, moved, keys)
+    moved = (keys & clear) | (((value[:, None] & weights) != 0) @ places)
+    if fire_mask:
+        moved = np.where((keys & fire_mask) == fire_value, moved, keys)
+    return moved
 
 
 def _evolve(state: StateVector, ops: Sequence[GateOp]) -> StateVector:

@@ -215,23 +215,59 @@ class TestPhaseEstimation:
                     assert np.max(np.abs(got - want)) < 1e-12, (n, dim, lams)
 
     def test_checks_each_matrix_once(self, monkeypatch):
-        # the first build at a width checks every gate once; the inverse
-        # QFT's gates are kept for the width, so later builds check only the
-        # Hadamards and the controlled exponentials
-        checks = []
+        # the Hadamards and the inverse QFT are kept per register placement:
+        # the first build checks each distinct matrix once, the n controlled
+        # exponentials as one stack, and a later build checks that stack only
+        checked = []
         defect, is_perm = sim._unitarity_defect, sim._is_permutation
-        monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checks.append(1) or defect(m))
-        monkeypatch.setattr(sim, "_is_permutation", lambda g: checks.append(1) or is_perm(g))
+        monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checked.append(m) or defect(m))
+        monkeypatch.setattr(sim, "_is_permutation", lambda g: checked.append(g) or is_perm(g))
         builders._qft_ops.cache_clear()
+        builders._register_gates.cache_clear()
         for n in (1, 2, 3, 6):
             spec = PhaseEstimationSpec(np.diag([1.0, 0.0]), n)
-            checks.clear()
+            checked.clear()
             pe = build_phase_estimation(spec, range(1, n + 1), (0,))
-            assert len(checks) == len(pe) == 3 * n + (n > 1)
-            checks.clear()
+            assert len(pe) == 3 * n + (n > 1)
+            # one Hadamard, n QFT block stacks, the bit reversal, the exponentials
+            assert len(checked) == 1 + n + (n > 1) + 1
+            for i, a in enumerate(checked):
+                for b in checked[:i]:
+                    assert a.shape != b.shape or not np.array_equal(a, b)
+            exps = pe.ops[n : 2 * n]
+            assert np.array_equal(checked[-1], np.stack([op.matrix for op in exps]))
+            checked.clear()
             again = build_phase_estimation(spec, range(1, n + 1), (0,))
-            assert len(checks) == 2 * n
+            assert len(checked) == 1 and checked[0].shape == (n, 2, 2)
             assert len(again) == len(pe)
+            for i, (a, b) in enumerate(zip(pe.ops, again.ops)):
+                assert (a is b) == (not n <= i < 2 * n)
+                assert np.array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_shared_gates_keep_their_inverses(self, n):
+        # the Hadamards and the inverse QFT come back from the cache with
+        # their inverses kept; the inverse QFT's inverse is the forward QFT
+        lam, q = tuple(range(2, n + 2)), n + 3
+        pe = build_phase_estimation(PhaseEstimationSpec(np.diag([1.0, 0.0]), n), lam, (0,), q)
+        inv = pe.inverse()
+        forward = build_qft(n).remap(lam, q).ops
+        shared = pe.ops[:n] + pe.ops[2 * n :]
+        assert len(shared) == len(forward) + n
+        for g in shared:
+            d = g.dagger()
+            assert d.dagger() is g and g.dagger() is d
+            assert (d.targets, d.controls) == (g.targets, g.controls)
+            if g.matrix.ndim == 1:
+                assert np.array_equal(d.matrix[g.matrix], np.arange(g.matrix.size))
+            else:
+                assert np.array_equal(d.matrix, np.swapaxes(g.matrix.conj(), -1, -2))
+        for g, f in zip(reversed(pe.ops[2 * n :]), forward):
+            assert np.array_equal(g.dagger().matrix, f.matrix) and g.dagger().targets == f.targets
+        # the inverse circuit reuses the kept inverses, and daggers only the exponentials
+        for a, b in zip(inv.ops, reversed(pe.ops)):
+            assert (a is b.dagger()) == (b in shared)
+            assert np.array_equal(a.matrix, b.dagger().matrix)
 
     def test_register_size_mismatch(self, matrix_a):
         spec = PhaseEstimationSpec(matrix_a, eig_bits=2)

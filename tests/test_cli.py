@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,25 @@ class TestRunCommand:
         p.write_text("1,0,0\n0,1,0\n0,0,1\n")
         assert main(["run", "--matrix", str(p), "--tau", "0.5", "--eig-bits", "2",
                      "--out", str(tmp_path / "x.json")]) == EXIT_INPUT
+
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("eig_bits", [2, 6])
+@pytest.mark.parametrize("matrix,tau", [("2x2", "1.0"), ("4x4", "1.8")])
+def test_run_output_matches_golden_bytes(matrix, tau, eig_bits, mode, tmp_path):
+    # the recorded JSON and CSV are the behaviour spec: any change to the
+    # numbers, their rounding or their layout shows up as a byte difference
+    name = f"matrix_{matrix}_tau{tau}_n{eig_bits}_{mode}"
+    out = tmp_path / f"{name}.json"
+    code = main(["run", "--matrix", str(REPO / "data" / f"matrix_{matrix}.csv"), "--tau", tau,
+                 "--eig-bits", str(eig_bits), "--mode", mode, "--seed", "7", "--out", str(out)])
+    assert code == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert out.with_suffix(".csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 class TestAnalyzeCommand:

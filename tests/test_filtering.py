@@ -147,6 +147,13 @@ class TestFilterParams:
         assert [p.keeps(lam) for lam in (4, 5, -1, -3.0)] == [False, True, True, True]
         assert not p.keeps(-0.2)
 
+    def test_keeps_an_array_elementwise(self):
+        lams = np.array([[4, 5, -1, -3.0], [-0.2, 3.0 - 1e-9, 2.0, 1.0 + 2e-6]])
+        for p in (FilterParams(tau=0.5, n_bits=2), FilterParams(tau=2.9, n_bits=2)):
+            got = p.keeps(lams)
+            assert got.shape == lams.shape
+            assert got.tolist() == [[bool(p.keeps(float(x))) for x in row] for row in lams]
+
     def test_validation(self):
         with pytest.raises(ValueError, match="tau"):
             FilterParams(tau=0.0, n_bits=2)
@@ -226,6 +233,25 @@ class TestFilterTable:
                     want = min((1 << n) - 1, max(1, y))
                     assert table.y_raw(lam) == want, (n, tau, lam)
 
+    def test_matches_scalar_newton_loop(self):
+        # the table, one numpy pass over the register, against a loop of
+        # scalar newton_reciprocal calls, for off-grid thresholds and
+        # iteration counts other than the default
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5, 6, 8):
+            for iters in (None, 1, 2, 6):
+                tau = float(rng.uniform(0.1, (1 << n) - 0.5))
+                params = FilterParams(tau=tau, n_bits=n, newton_iters=iters)
+                want = []
+                for lam in range(1 << n):
+                    if not lam > tau:
+                        want.append(0)
+                        continue
+                    z = newton_reciprocal(FixedPoint.integer(lam, n), params.iterations, n)
+                    y = round((1.0 - params.tau_fixed.value * z.value) * (1 << n))
+                    want.append(min((1 << n) - 1, max(1, y)))
+                assert build_filter_table(params).y_raws == tuple(want), (n, iters, tau)
+
     def test_exact_shrink_table_same_kept_set(self):
         for n in (2, 3):
             for tau in tau_grid(n, (1 << n) - Fraction(1, 1 << n)):
@@ -244,6 +270,13 @@ class TestFilterTable:
         params = FilterParams(tau=1.0, n_bits=2)
         with pytest.raises(ValueError, match="fit"):
             FilterTable(params=params, y_raws=(0, 0, 4, 2))
+        with pytest.raises(ValueError, match="fit"):
+            FilterTable(params=params, y_raws=(0, 0, -1, 2))
+
+    def test_table_constructor_rejects_falling_y(self):
+        params = FilterParams(tau=0.5, n_bits=3)
+        with pytest.raises(ValueError, match="not monotone at lambda=4"):
+            FilterTable(params=params, y_raws=(0, 1, 3, 3, 2, 5, 6, 7))
 
 
 class TestFilterUnitary:

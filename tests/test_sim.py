@@ -214,6 +214,46 @@ class TestGateOp:
         op = pauli_x(1, controls=(0,))
         assert op.controls == ((0, 1),)
 
+    def test_dagger_is_built_anew_unless_kept(self):
+        # a per-call gate holds no inverse: it would keep both matrices alive
+        rng = np.random.default_rng(11)
+        for gate in (random_unitary(rng, 4), rng.permutation(4), np.stack([np.eye(2)] * 2)):
+            op = GateOp(gate, (0, 1))
+            assert op.dagger() is not op.dagger()
+            inv = op.keep_inverse()
+            assert op.dagger() is inv and inv.dagger() is op and op.keep_inverse() is inv
+            if gate.ndim == 1:
+                assert np.array_equal(inv.matrix[gate], np.arange(4))
+            else:
+                assert np.array_equal(inv.matrix, np.swapaxes(op.matrix.conj(), -1, -2))
+            assert (inv.targets, inv.controls, inv.label) == (op.targets, op.controls, op.label)
+
+    def test_self_inverse_gate_keeps_itself(self):
+        h = hadamard(0)
+        assert h.keep_inverse() is h and h.dagger() is h
+        flip = GateOp(np.array([1, 0, 3, 2]), (0, 1))
+        assert flip.keep_inverse() is flip
+
+    def test_stack_is_checked_once_and_wired_per_gate(self, monkeypatch):
+        checks = []
+        defect = sim._unitarity_defect
+        monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checks.append(m) or defect(m))
+        rng = np.random.default_rng(13)
+        mats = np.stack([random_unitary(rng, 4) for _ in range(3)])
+        ops = GateOp.stack(mats, (0, 1), [((2, 1),), ((3, 0),), ()], ["a", "b", "c"])
+        assert len(checks) == 1 and checks[0].shape == (3, 4, 4)
+        assert [op.controls for op in ops] == [((2, 1),), ((3, 0),), ()]
+        assert [op.label for op in ops] == ["a", "b", "c"]
+        for op, m in zip(ops, mats):
+            assert np.array_equal(op.matrix, m) and not op.matrix.flags.writeable
+        mats[1, 0, 0] += 1e-6
+        with pytest.raises(NonUnitaryMatrixError):
+            GateOp.stack(mats, (0, 1), [(), (), ()], ["a", "b", "c"])
+        with pytest.raises(ValueError, match="does not match"):
+            GateOp.stack(mats[:, :2, :2], (0, 1), [(), (), ()], ["a", "b", "c"])
+        with pytest.raises(ValueError, match="does not match"):
+            GateOp.stack(mats, (0, 1), [(), ()], ["a", "b", "c"])
+
 
 class TestApply:
     def test_hadamard_on_zero(self):
@@ -483,6 +523,33 @@ class TestLiveRowState:
             if len(ops) == 1:
                 assert np.max(np.abs(apply(s, ops[0]).amps - want)) < 1e-12
         assert kinds == {"key", "across", "block"}
+
+    def test_one_gate_across_splits_keeps_a_plan_per_split(self):
+        # the same gate objects run at several (num_qubits, top) pairs, in
+        # both kernels, in alternation: a plan kept from one split must never
+        # be used at another
+        rng = np.random.default_rng(83)
+        dense_op = GateOp(random_unitary(rng, 4), (3, 5), controls=((4, 0),))
+        block_op = GateOp(np.stack([random_unitary(rng, 2) for _ in range(2)]), (4, 3))
+        gather_op = GateOp(rng.permutation(8), (5, 3, 4))
+        for _ in range(2):
+            for q in (6, 7, 8):
+                for lo in range(3):
+                    # a gate on qubit lo sets the circuit's top
+                    for op in (dense_op, block_op, gather_op):
+                        s = StateVector(random_state(rng, q))
+                        circ = Circuit(q, [hadamard(lo), op])
+                        want = dense_operator(op, q) @ dense_operator(circ.ops[0], q) @ s.amps
+                        assert np.max(np.abs(run(s, circ).amps - want)) < 1e-12
+                    # the gather map alone permutes the keys of a state stored
+                    # at qubit 6, 7 or 8
+                    top = min(6 + lo, q)
+                    keys, block = StateVector(random_state(rng, q)).rows(top)
+                    s = StateVector._owned(q, top, keys.copy(), block.copy())
+                    want = dense_operator(gather_op, q) @ s.amps
+                    assert np.max(np.abs(apply(s, gather_op).amps - want)) < 1e-12
+        assert set(dense_op._plans) == {("rows", q, lo) for q in (6, 7, 8) for lo in range(3)}
+        assert {k for k in gather_op._plans if k[0] == "keys"} == {("keys", t) for t in (6, 7, 8)}
 
     def test_key_permutation_moves_no_amplitude_value(self):
         # a gather map inside the key only relabels rows
