@@ -18,9 +18,7 @@ from qpcasim import (
     apply,
     build_filter_table,
     build_filter_unitary,
-    build_qft_adder,
     newton_reciprocal,
-    run,
     shrink,
 )
 
@@ -51,7 +49,3 @@ after = apply(start, op)
 print("filter moves y=0,lam=3 to index", int(np.argmax(after.probabilities())),
       "  (y=y(3), lam=3)")
 
-# The register addition itself can be done in place with a Fourier adder.
-adder = build_qft_adder(width=3)
-out = run(StateVector.basis(6, (3 << 3) | 2), adder).amps  # |a=3>|b=2>
-print("QFT adder: 3 + 2 ->", int(np.argmax(np.abs(out))) & 7)

@@ -8,12 +8,12 @@ two-stage design, on the same 1 + 2n + m qubits.  The ratio climbs toward
 3/5 as the quadratic phase-estimation terms dominate.
 """
 
-from qpcasim import cost_baseline, cost_proposed, count_filter_gates, gate_ratio
+from qpcasim import cost_baseline, cost_proposed, gate_ratio
 
 print("per-block counts at n = 2:")
 print("  proposed:", dict(cost_proposed(2, 2).per_block))
 print("  baseline:", dict(cost_baseline(2, 2).per_block))
-print("  filter block alone:", count_filter_gates(2), "gates")
+print("  filter block alone:", cost_proposed(2, 2).per_block["filter"], "gates")
 
 print("\n  n  proposed  baseline  ratio")
 for n in (1, 2, 3, 4, 6, 8, 16, 64, 256, 1000):

@@ -12,7 +12,6 @@ from .builders import (
     build_phase_estimation,
     build_qft,
     build_state_prep,
-    matrix_exponential_unitary,
     state_prep_tree,
 )
 from .complexity import CostReport, cost_baseline, cost_proposed, gate_ratio
@@ -23,8 +22,6 @@ from .filtering import (
     ZeroEigenvalue,
     build_filter_table,
     build_filter_unitary,
-    build_qft_adder,
-    count_filter_gates,
     default_newton_iters,
     exact_shrink_table,
     newton_reciprocal,
@@ -93,13 +90,11 @@ __all__ = [
     "build_filter_unitary",
     "build_phase_estimation",
     "build_qft",
-    "build_qft_adder",
     "build_state_prep",
     "circuit_unitary",
     "classical_pca_oracle",
     "cost_baseline",
     "cost_proposed",
-    "count_filter_gates",
     "cphase",
     "default_newton_iters",
     "exact_shrink_table",
@@ -108,7 +103,6 @@ __all__ = [
     "hadamard",
     "lambda_register_histogram",
     "make_layout",
-    "matrix_exponential_unitary",
     "newton_reciprocal",
     "pauli_x",
     "phase",

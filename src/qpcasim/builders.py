@@ -16,6 +16,20 @@ from .sim import Circuit, GateOp, hadamard
 SYMMETRY_ATOL = 1e-9
 
 
+def symmetric_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a new float64 array, checked square, finite (first: every
+    tolerance test is false for NaN) and symmetric within ``SYMMETRY_ATOL``."""
+    m = np.array(matrix, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix shape {m.shape} is not square")
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(f"matrix entry ({i},{j}) is {float(m[i, j])}, not a finite number")
+    if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL:
+        raise ValueError("matrix is not symmetric")
+    return m
+
+
 class SpectralPrecisionWarning(UserWarning):
     """Eigenvalues fall outside, or between, exact register values."""
 
@@ -33,14 +47,10 @@ class PhaseEstimationSpec:
     eig_bits: int
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix shape {m.shape} is not square")
+        m = symmetric_matrix(self.matrix)
         k = m.shape[0].bit_length() - 1
         if (1 << k) != m.shape[0]:
             raise ValueError(f"matrix dimension {m.shape[0]} is not a power of two")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL:
-            raise ValueError("matrix is not symmetric")
         if self.eig_bits < 1:
             raise ValueError("eig_bits must be >= 1")
         eigvals, eigvecs = np.linalg.eigh(m)
@@ -82,27 +92,20 @@ def _exp_matrices(spec: PhaseEstimationSpec, powers) -> np.ndarray:
     return (spec._eigvecs * phases[:, None, :]) @ spec._eigvecs.T
 
 
-def _exp_matrix(spec: PhaseEstimationSpec, power: int) -> np.ndarray:
-    return _exp_matrices(spec, (power,))[0]
-
-
-def matrix_exponential_unitary(spec: PhaseEstimationSpec, power: int) -> GateOp:
-    """exp(2*pi*i * A * 2**power / 2**eig_bits) as a gate on the data qubits."""
-    if not 0 <= power < spec.eig_bits:
-        raise ValueError(f"power must lie in [0, {spec.eig_bits}), got {power}")
-    return GateOp(
-        _exp_matrix(spec, power),
-        tuple(range(spec.num_target_qubits)),
-        label=f"exp(2pi.i.A.2^{power}/{spec.scale})",
-    )
-
-
 @functools.lru_cache
-def _qft_ops(num_qubits: int) -> tuple[GateOp, ...]:
-    """The gates of ``build_qft(num_qubits)``, built and checked once per width."""
-    n = num_qubits
+def _register_gates(qubits: tuple[int, ...]) -> tuple[tuple[GateOp, ...], tuple[GateOp, ...]]:
+    """The gates that depend only on a register: a Hadamard per qubit and
+    the gates of ``build_qft(n)``, wired onto ``qubits``.  Built and checked
+    once per register placement, each with its inverse kept (H and the bit
+    reversal are their own), so phase estimation's inverse QFT is the kept
+    daggers and a circuit's ``inverse`` reuses them.  The circuit width is
+    not part of the key: a gate keeps a kernel plan per width it runs at.
+    """
+    n = len(qubits)
     s = 1 / math.sqrt(2)
-    ops = []
+    h = hadamard(0)
+    hadamards = tuple(h.remap((q,)) for q in qubits)
+    qft = []
     for i in range(n):
         # block c, c spelled by qubits i+1 .. n-1, is diag(1, e^(i phi(c))) H
         # with phi(c) = 2 pi c / 2**(n-i): the sum of the controlled phases
@@ -112,14 +115,14 @@ def _qft_ops(num_qubits: int) -> tuple[GateOp, ...]:
         blocks[:, 0, :] = s
         blocks[:, 1, 0] = s * phases
         blocks[:, 1, 1] = -s * phases
-        ops.append(GateOp(blocks, tuple(range(i + 1, n)) + (i,), label=f"QFT(qubit {i})"))
+        qft.append(GateOp(blocks, qubits[i + 1 :] + qubits[i : i + 1], label=f"QFT(qubit {i})"))
     if n > 1:
-        index = np.arange(1 << n)
-        reverse = np.zeros_like(index)
-        for b in range(n):
-            reverse |= ((index >> b) & 1) << (n - 1 - b)
-        ops.append(GateOp(reverse, tuple(range(n)), label="bit reversal"))
-    return tuple(ops)
+        # value j goes to j with its n bits reversed: the axes of (2,)*n reversed
+        reverse = np.arange(1 << n).reshape((2,) * n).transpose().reshape(-1)
+        qft.append(GateOp(reverse, qubits, label="bit reversal"))
+    for op in hadamards + tuple(qft):
+        op.keep_inverse()
+    return hadamards, tuple(qft)
 
 
 def build_qft(num_qubits: int) -> Circuit:
@@ -130,29 +133,12 @@ def build_qft(num_qubits: int) -> Circuit:
     targets (i+1, ..., n-1, i): its block for the value c of qubits
     i+1 .. n-1 is the Hadamard fused with every controlled phase those
     qubits apply to qubit i, diag(1, e^(2 pi i c / 2**(n-i))) H.  One bit
-    reversal gather map, for n > 1, replaces the floor(n/2) SWAPs.  The
-    blocks together hold 2**n - 1 2x2 matrices.  The gates are built
+    reversal permutation map, for n > 1, replaces the floor(n/2) SWAPs.
+    The blocks together hold 2**n - 1 2x2 matrices.  The gates are built
     once per width and shared; the circuit around them is new on each
     call, so callers may extend it.
     """
-    return Circuit(num_qubits, _qft_ops(int(num_qubits)))
-
-
-@functools.lru_cache
-def _register_gates(lam_qubits: tuple[int, ...]) -> tuple[tuple[GateOp, ...], tuple[GateOp, ...]]:
-    """The gates of phase estimation that depend only on the register: the
-    Hadamard layer and the inverse of ``build_qft(n)``, wired onto
-    ``lam_qubits``.  Built and checked once per register placement, each
-    with its inverse kept (the inverse QFT's is the forward QFT; H and the
-    bit reversal are their own), so a circuit's ``inverse`` reuses them.
-    The circuit width is not part of the key: a gate keeps a kernel plan
-    per width it runs at.
-    """
-    h = hadamard(0)
-    hadamards = tuple(h.remap((lq,)).keep_inverse() for lq in lam_qubits)
-    qft = _qft_ops(len(lam_qubits))
-    inverse_qft = tuple(op.remap(lam_qubits).keep_inverse() for op in reversed(qft))
-    return hadamards, inverse_qft
+    return Circuit(num_qubits, _register_gates(tuple(range(int(num_qubits))))[1])
 
 
 def build_phase_estimation(
@@ -170,11 +156,12 @@ def build_phase_estimation(
     The circuit has 3n + 1 gates for n = eig_bits > 1 (3 for n = 1): a
     Hadamard per register qubit, one controlled exp(2 pi i A 2**p / 2**n)
     per register qubit, and the inverse of ``build_qft(n)``: n uniformly
-    controlled gates and a bit reversal.  The Hadamards and the inverse QFT
-    depend only on the register; they are built, checked and inverted once
-    per register placement and shared, so the circuit's ``inverse`` reuses
-    them.  Each call builds only the n controlled exponentials, from one
-    batched product, checked together by one unitarity test.
+    controlled gates and a bit reversal, taken as the kept daggers of its
+    gates in reverse order.  The Hadamards and the QFT depend only on the
+    register; they are built, checked and inverted once per register
+    placement and shared, so the circuit's ``inverse`` reuses them.  Each
+    call builds only the n controlled exponentials, from one batched
+    product, checked together by one unitarity test.
     """
     lam_qubits = tuple(int(q) for q in lam_qubits)
     target_qubits = tuple(int(q) for q in target_qubits)
@@ -192,7 +179,7 @@ def build_phase_estimation(
         num_qubits = max(lam_qubits + target_qubits) + 1
 
     n = spec.eig_bits
-    hadamards, inverse_qft = _register_gates(lam_qubits)
+    hadamards, qft = _register_gates(lam_qubits)
     # register qubit i carries bit weight 2**(n-1-i)
     powers = range(n - 1, -1, -1)
     exps = GateOp.stack(
@@ -201,7 +188,7 @@ def build_phase_estimation(
         [((lq, 1),) for lq in lam_qubits],
         [f"c-exp(2pi.i.A.2^{p}/{spec.scale})" for p in powers],
     )
-    return Circuit(num_qubits, hadamards + exps + inverse_qft)
+    return Circuit(num_qubits, hadamards + exps + tuple(op.dagger() for op in reversed(qft)))
 
 
 @dataclass(eq=False)

@@ -64,6 +64,9 @@ def _matrix_from_rows(rows: list[list[float]], origin: str) -> HermitianInput:
         if len(row) != d:
             raise NotSquare(f"{origin}: {d} rows but row {lineno} has {len(row)} columns")
     arr = np.array(rows, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ParseError(f"{origin}: row {i + 1}, column {j + 1}: not a finite number: {arr[i, j]}")
     delta = np.abs(arr - arr.T)
     if delta.max() > SYMMETRY_ATOL:
         i, j = np.unravel_index(int(np.argmax(delta)), delta.shape)

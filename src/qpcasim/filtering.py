@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import RegisterLayout
-from .sim import Circuit, GateOp, cphase
-from .builders import build_qft
+from .sim import GateOp
 
 # Eigenvalues this close to an integer land exactly on that register value.
 SPECTRUM_ATOL = 1e-6
@@ -270,8 +269,8 @@ def build_filter_unitary(table: FilterTable, layout: RegisterLayout) -> GateOp:
     """Permutation gate |c>_y |lambda> -> |c + y(lambda) mod 2**n>_y |lambda>.
 
     Acting on the joint y+lambda register; the table is compiled in as
-    classical data, so no work qubits are consumed.  The gate is a gather
-    map: after it, |c>|lambda> holds the amplitude of |c - y(lambda)>|lambda>.
+    classical data, so no work qubits are consumed.  The gate is the
+    permutation map sending each joint value to its image.
     """
     n = table.params.n_bits
     if len(layout.y_reg) != n:
@@ -281,37 +280,5 @@ def build_filter_unitary(table: FilterTable, layout: RegisterLayout) -> GateOp:
     size = 1 << n
     y = np.array(table.y_raws)
     c, lam = np.divmod(np.arange(size * size), size)
-    gather = ((c - y[lam]) % size) * size + lam
-    return GateOp(gather, layout.y_reg + layout.lambda_reg, label="U_lambda_tau")
-
-
-def build_qft_adder(width: int) -> Circuit:
-    """In-place Fourier adder |a>|b> -> |a>|a + b mod 2**width>.
-
-    Qubits 0..width-1 hold a, width..2*width-1 hold b.  QFT on b, one
-    controlled phase per interacting bit pair, inverse QFT.  Width is capped
-    where exhaustive verification stays cheap.
-    """
-    if not 1 <= width <= 6:
-        raise ValueError("width must lie in [1, 6]")
-    a = tuple(range(width))
-    b = tuple(range(width, 2 * width))
-    circ = Circuit(2 * width)
-    circ.extend(build_qft(width).remap(b, 2 * width))
-    for ja in range(width):  # a-bit of weight 2**ja sits on qubit a[width-1-ja]
-        for lb in range(width - ja):
-            angle = 2 * math.pi * (1 << (ja + lb)) / (1 << width)
-            circ.append(cphase(angle, control=a[width - 1 - ja], target=b[width - 1 - lb]))
-    circ.extend(build_qft(width).inverse().remap(b, 2 * width))
-    return circ
-
-
-def count_filter_gates(n_bits: int) -> int:
-    """Elementary-gate budget of the filter block: 16 * n_bits.
-
-    Eight QFT-arithmetic passes over the n-qubit working registers, each
-    costing 2n elementary operations.
-    """
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
-    return 16 * n_bits
+    image = ((c + y[lam]) % size) * size + lam
+    return GateOp(image, layout.y_reg + layout.lambda_reg, label="U_lambda_tau")

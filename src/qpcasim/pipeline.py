@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import (
-    SYMMETRY_ATOL,
     PhaseEstimationSpec,
     SpectralPrecisionWarning,
     build_phase_estimation,
     build_state_prep,
+    symmetric_matrix,
 )
 from .complexity import cost_proposed
 from .filtering import (
@@ -79,11 +79,7 @@ class HermitianInput:
 
     @classmethod
     def from_matrix(cls, matrix) -> "HermitianInput":
-        m = np.array(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix shape {m.shape} is not square")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_ATOL:
-            raise ValueError("matrix is not symmetric")
+        m = symmetric_matrix(matrix)
         eigvals, eigvecs = np.linalg.eigh(m)
         order = np.argsort(eigvals)[::-1]
         eigvals = eigvals[order]
@@ -182,12 +178,12 @@ def fidelity(a, b) -> float:
 def ancilla_flip_gate(layout: RegisterLayout) -> GateOp:
     """X on the ancilla for every nonzero y-register value (OR over y bits).
 
-    A gather map over (ancilla, y); the flip is its own inverse.
+    A permutation map over (ancilla, y); the flip is its own inverse.
     """
     size = 1 << layout.eig_bits
     anc, y = np.divmod(np.arange(2 * size), size)
-    gather = (anc ^ (y != 0)) * size + y
-    return GateOp(gather, (layout.ancilla,) + layout.y_reg, label="CU_flip")
+    image = (anc ^ (y != 0)) * size + y
+    return GateOp(image, (layout.ancilla,) + layout.y_reg, label="CU_flip")
 
 
 def _work_rows(state: StateVector, layout: RegisterLayout):

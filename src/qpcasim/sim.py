@@ -22,8 +22,8 @@ finiteness and norm checks therefore cost O(live amplitudes), not O(2**Q).
   circuit whose gates leave qubits 0 .. top-1 untouched acts as I (x) U on
   the rows, so a zero row stays zero, and every gate is applied to the
   block alone through ``_apply_into``.
-* A circuit of gather maps only (the eigenvalue filter, the ancilla flip)
-  instead moves every qubit it touches into the key and permutes the keys:
+* A circuit of permutation maps only (the eigenvalue filter, the ancilla
+  flip) instead moves every qubit it touches into the key and maps the keys:
   O(live rows) of index arithmetic, no arithmetic on amplitudes.  The block's
   rows are reordered only to keep the keys ascending.
 * ``post_select``, ``probabilities`` and ``sample`` read the live rows only;
@@ -40,8 +40,8 @@ transpose bringing its targets forward and the shapes, keyed by
 (num_qubits, top); for ``_permute_keys`` its bit positions and control
 masks in a row key, keyed by top.  ``_permute_keys`` reads the target
 values through one bit matrix of the keys, so it makes a fixed number of
-numpy calls for any wiring.  Gates built once and shared (phase
-estimation's Hadamards and inverse QFT, one set per register placement)
+numpy calls for any wiring.  Gates built once and shared (the Hadamards
+and the QFT of a register, one set per register placement)
 also keep their inverse (``GateOp.keep_inverse``), so ``dagger`` and
 ``Circuit.inverse`` return it instead of building it again.  Per-call gates
 keep no inverse: the filter's would hold a second 2**(2n)-entry map for as
@@ -50,11 +50,11 @@ long as the filter lives.
 A gate on k target qubits holds one of three forms in ``GateOp.matrix``:
 
 * a dense (2**k x 2**k) complex unitary M, applied as ``M @ amps``;
-* a length-2**k integer gather map g, the permutation matrix with
-  M[i, g[i]] = 1, applied as ``amps[g]``: the amplitude that lands on
-  target value i is the one that sat on g[i].  Table-compiled classical
-  blocks (the eigenvalue filter, the ancilla flip) use this form, so a
-  2n-qubit permutation costs 2**(2n) integers instead of a 2**(4n) matrix;
+* a length-2**k integer permutation map f, the function the gate
+  computes on basis values: value j goes to f[j], the permutation matrix
+  with M[f[j], j] = 1.  Table-compiled classical blocks (the eigenvalue
+  filter, the ancilla flip) use this form, so a 2n-qubit permutation costs
+  2**(2n) integers instead of a 2**(4n) matrix;
 * a (B, d, d) stack of unitary blocks with B * d = 2**k, the block-diagonal
   matrix diag(M_0, ..., M_{B-1}): the leading log2(B) targets select the
   block, which acts on the remaining targets.  A uniformly controlled
@@ -261,9 +261,9 @@ class GateOp:
     """A k-qubit unitary acting on ``targets``, optionally controlled.
 
     ``matrix`` is a dense 2**k x 2**k unitary; for a permutation, a
-    length-2**k integer gather map g meaning the matrix with M[i, g[i]] = 1;
-    or, for a block-diagonal gate, a (B, d, d) stack of blocks with
-    B * d = 2**k, selected by the leading targets (see the module
+    length-2**k integer permutation map f, sending basis value j to f[j]
+    (M[f[j], j] = 1); or, for a block-diagonal gate, a (B, d, d) stack of
+    blocks with B * d = 2**k, selected by the leading targets (see the module
     docstring).  A one-dimensional integer array selects the map form; it is
     checked to be a permutation of range(2**k), a dense matrix or each block
     to be unitary, all at construction.  ``dagger`` and ``remap`` reuse the
@@ -285,9 +285,9 @@ class GateOp:
         if m.ndim == 1 and m.dtype.kind in "iu":
             m = np.array(m, dtype=np.intp)
             if m.size != 1 << k:
-                raise ValueError(f"gather map length {m.size} does not match {k} target qubit(s)")
+                raise ValueError(f"map length {m.size} does not match {k} target qubit(s)")
             if not _is_permutation(m):
-                raise NonUnitaryMatrixError(f"gather map is not a permutation of range({m.size})")
+                raise NonUnitaryMatrixError(f"map is not a permutation of range({m.size})")
         else:
             m = np.array(matrix, dtype=np.complex128)
             if m.ndim == 3:
@@ -343,7 +343,7 @@ class GateOp:
         return GateOp._trusted(inverse, self.targets, self.controls, self.label)
 
     def dagger(self) -> "GateOp":
-        """Inverse gate, same wiring: the inverse permutation of a gather map,
+        """Inverse gate, same wiring: the inverse of a permutation map,
         the conjugate transpose of a dense matrix or of each block.  Built
         anew on each call, unless the gate keeps its inverse."""
         if self._inverse is not None:
@@ -469,7 +469,9 @@ def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None
     sub = rows.reshape(shape)[index].transpose(order)
     gate = op.matrix
     if gate.ndim == 1:
-        new = sub.reshape(flat)[gate]
+        src = sub.reshape(flat)
+        new = np.empty_like(src)
+        new[gate] = src
     else:
         new = gate @ sub.reshape(flat)
     sub[...] = new.reshape(sub.shape)
@@ -494,14 +496,13 @@ def _keys_plan(op: GateOp, top: int) -> tuple:
 
 
 def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
-    """Row keys after the gather map ``op``, all of whose qubits lie in
+    """Row keys after the permutation map ``op``, all of whose qubits lie in
     qubits 0 .. top-1: a row whose controls fire moves from target value j
-    to the value i with g[i] = j.  O(len(keys)) in a fixed number of numpy
-    calls, through the (len(keys), k) matrix of the target bits; no
-    amplitude moves."""
+    to f[j].  O(len(keys)) in a fixed number of numpy calls, through the
+    (len(keys), k) matrix of the target bits; no amplitude moves."""
     shifts, weights, places, clear, fire_mask, fire_value = _keys_plan(op, top)
     value = ((keys[:, None] >> shifts) & 1) @ weights
-    value = _inverse_map(op.matrix)[value]
+    value = op.matrix[value]
     moved = (keys & clear) | (((value[:, None] & weights) != 0) @ places)
     if fire_mask:
         moved = np.where((keys & fire_mask) == fire_value, moved, keys)
@@ -511,8 +512,8 @@ def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
 def _evolve(state: StateVector, ops: Sequence[GateOp]) -> StateVector:
     """A new state holding ``ops`` applied in order to ``state``.
 
-    A circuit of gather maps only moves every qubit it touches into the key
-    and permutes the keys; any other circuit is re-keyed to its lowest
+    A circuit of permutation maps only moves every qubit it touches into the
+    key and maps the keys; any other circuit is re-keyed to its lowest
     qubit and applied to the block.  ``state`` is never written.
     """
     q = state.num_qubits

@@ -10,12 +10,12 @@ from fractions import Fraction
 import numpy as np
 
 from qpcasim import Circuit, GateOp, cphase, hadamard, ry, state_prep_tree, swap
-from qpcasim.builders import _exp_matrix
+from qpcasim.builders import _exp_matrices
 
 
 def gate_matrix(op) -> np.ndarray:
-    """The 2**k x 2**k matrix of a GateOp's targets; a gather map g becomes
-    the permutation matrix with M[i, g[i]] = 1, a (B, d, d) block stack the
+    """The 2**k x 2**k matrix of a GateOp's targets; a permutation map f
+    becomes the permutation matrix with M[f[j], j] = 1, a (B, d, d) block stack the
     block-diagonal matrix with block j on rows and columns j*d .. j*d+d-1."""
     if op.matrix.ndim == 2:
         return op.matrix
@@ -29,8 +29,8 @@ def gate_matrix(op) -> np.ndarray:
         return out
     size = op.matrix.size
     out = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        out[i, op.matrix[i]] = 1.0
+    for j in range(size):
+        out[op.matrix[j], j] = 1.0
     return out
 
 
@@ -106,7 +106,7 @@ def phase_estimation_reference(spec, lam_qubits, target_qubits, num_qubits=None)
     for lq in lam_qubits:
         circ.append(hadamard(lq))
     for i, lq in enumerate(lam_qubits):
-        circ.append(GateOp(_exp_matrix(spec, n - 1 - i), target_qubits, controls=((lq, 1),)))
+        circ.append(GateOp(_exp_matrices(spec, (n - 1 - i,))[0], target_qubits, controls=((lq, 1),)))
     circ.extend(qft_reference(n).inverse().remap(lam_qubits, num_qubits))
     return circ
 

@@ -19,7 +19,6 @@ from qpcasim import (
     build_state_prep,
     circuit_unitary,
     hadamard,
-    matrix_exponential_unitary,
     run,
     sim,
     state_prep_tree,
@@ -76,18 +75,25 @@ class TestQft:
         assert np.max(np.abs(s.amps - 0.25 ** 0.5)) < 1e-12
 
 
+def pe_exponentials(spec):
+    """The controlled exponentials phase estimation applies, its ops[n:2n],
+    as matrices in the order of their powers 0 .. n-1."""
+    n, m = spec.eig_bits, spec.num_target_qubits
+    pe = build_phase_estimation(spec, range(n), range(n, n + m))
+    return [op.matrix for op in reversed(pe.ops[n : 2 * n])]
+
+
 class TestMatrixExponential:
     def test_zero_matrix_gives_identity(self):
         spec = PhaseEstimationSpec(np.zeros((2, 2)), eig_bits=2)
-        op = matrix_exponential_unitary(spec, 0)
-        assert np.max(np.abs(op.matrix - np.eye(2))) < 1e-12
+        for u in pe_exponentials(spec):
+            assert np.max(np.abs(u - np.eye(2))) < 1e-12
 
     def test_diagonal_spectrum_powers(self, matrix_c):
         # exp(2.pi.i.C/4) = diag(1, i, -1, -i); squaring it gives
         # diag(1, -1, 1, -1).  The top-left entry is 1 in both.
         spec = PhaseEstimationSpec(matrix_c, eig_bits=2)
-        u0 = matrix_exponential_unitary(spec, 0).matrix
-        u1 = matrix_exponential_unitary(spec, 1).matrix
+        u0, u1 = pe_exponentials(spec)
         assert np.max(np.abs(u0 - np.diag([1, 1j, -1, -1j]))) < 1e-10
         assert np.max(np.abs(u1 - np.diag([1, -1, 1, -1]))) < 1e-10
 
@@ -96,14 +102,8 @@ class TestMatrixExponential:
         rng = np.random.default_rng(3)
         g = rng.standard_normal((4, 4))
         spec = PhaseEstimationSpec(g + g.T, eig_bits=3)
-        u0 = matrix_exponential_unitary(spec, 0).matrix
-        u2 = matrix_exponential_unitary(spec, 2).matrix
+        u0, _, u2 = pe_exponentials(spec)
         assert np.max(np.abs(np.linalg.matrix_power(u0, 4) - u2)) < 1e-9
-
-    def test_power_out_of_range(self, matrix_c):
-        spec = PhaseEstimationSpec(matrix_c, eig_bits=2)
-        with pytest.raises(ValueError, match="power"):
-            matrix_exponential_unitary(spec, 2)
 
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -222,7 +222,6 @@ class TestPhaseEstimation:
         defect, is_perm = sim._unitarity_defect, sim._is_permutation
         monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checked.append(m) or defect(m))
         monkeypatch.setattr(sim, "_is_permutation", lambda g: checked.append(g) or is_perm(g))
-        builders._qft_ops.cache_clear()
         builders._register_gates.cache_clear()
         for n in (1, 2, 3, 6):
             spec = PhaseEstimationSpec(np.diag([1.0, 0.0]), n)

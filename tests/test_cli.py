@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,29 @@ class TestRunCommand:
                      "--out", str(tmp_path / "x.json")])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "name, text, entry",
+        [
+            ("nan.csv", "1.5,nan\n0.5,1.5\n", "row 1, column 2: not a finite number: nan"),
+            ("inf.csv", "1.5,0.5\n0.5,inf\n", "row 2, column 2: not a finite number: inf"),
+            ("nan.json", "[[NaN, 0.5], [0.5, 1.5]]", "row 1, column 1: not a finite number: nan"),
+            ("inf.json", "[[1.5, 0.5], [-Infinity, 1.5]]", "row 2, column 1: not a finite number: -inf"),
+        ],
+        ids=["csv-nan", "csv-inf", "json-nan", "json-minus-inf"],
+    )
+    def test_non_finite_entry_exits_two(self, tmp_path, capsys, name, text, entry):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ParseError, match=entry):
+            parse_matrix(str(p))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--matrix", str(p), "--tau", "1", "--eig-bits", "2",
+                         "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {p}: {entry}\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_symmetry_tolerance(self, tmp_path):
         # 5e-10 of asymmetry runs end to end, 2e-9 is refused at parsing

@@ -5,7 +5,9 @@ from qpcasim import CostReport, RegisterLayout, cost_baseline, cost_proposed, ga
 
 def test_proposed_formula_over_full_range():
     for n in range(1, 10_001):
-        assert cost_proposed(n, 2).total == 3 * n * n + 33 * n
+        report = cost_proposed(n, 2)
+        assert report.total == 3 * n * n + 33 * n
+        assert report.per_block["filter"] == 16 * n
 
 
 def test_baseline_formula_over_full_range():
@@ -17,6 +19,11 @@ def test_block_decomposition_proposed():
     report = cost_proposed(2, 2)
     assert report.per_block == {"PE1": 4, "filter": 32, "CU": 2, "Udagger": 36, "PE2": 4}
     assert report.total == 78
+
+
+def test_register_width_validated():
+    with pytest.raises(ValueError, match="n must be"):
+        cost_proposed(0, 2)
 
 
 def test_block_decomposition_baseline():

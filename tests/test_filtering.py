@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,13 +15,10 @@ from qpcasim import (
     apply,
     build_filter_table,
     build_filter_unitary,
-    build_qft_adder,
     circuit_unitary,
-    count_filter_gates,
     default_newton_iters,
     exact_shrink_table,
     newton_reciprocal,
-    run,
     shrink,
 )
 
@@ -338,50 +334,3 @@ class TestFilterUnitary:
         table = build_filter_table(FilterParams(tau=1.0, n_bits=2))
         with pytest.raises(ValueError, match="bit"):
             build_filter_unitary(table, RegisterLayout(eig_bits=3, data_qubits=2))
-
-
-class TestQftAdder:
-    @pytest.mark.parametrize("width", [1, 2, 3, 4])
-    def test_exhaustive_modular_addition(self, width):
-        circ = build_qft_adder(width)
-        size = 1 << width
-        for a in range(size):
-            for b in range(size):
-                start = StateVector.basis(2 * width, (a << width) | b)
-                got = run(start, circ).amps
-                want_index = (a << width) | ((a + b) % size)
-                assert abs(got[want_index]) > 1.0 - 1e-9, (a, b)
-
-    def test_examples(self):
-        circ = build_qft_adder(3)
-        got = run(StateVector.basis(6, (3 << 3) | 2), circ).amps
-        assert abs(got[(3 << 3) | 5]) > 1.0 - 1e-9  # 3 + 2 = 5
-        got = run(StateVector.basis(6, (7 << 3) | 1), circ).amps
-        assert abs(got[(7 << 3) | 0]) > 1.0 - 1e-9  # 7 + 1 wraps to 0
-
-    def test_unitary_is_exact_permutation(self):
-        width = 2
-        size = 1 << width
-        want = np.zeros((size * size, size * size))
-        for a in range(size):
-            for b in range(size):
-                want[(a << width) | ((a + b) % size), (a << width) | b] = 1.0
-        got = circuit_unitary(build_qft_adder(width))
-        assert np.max(np.abs(got - want)) < 1e-9
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError, match="width"):
-            build_qft_adder(0)
-        with pytest.raises(ValueError, match="width"):
-            build_qft_adder(7)
-
-
-class TestGateBudget:
-    def test_counts(self):
-        assert count_filter_gates(1) == 16
-        assert count_filter_gates(2) == 32
-        assert count_filter_gates(10) == 160
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n_bits"):
-            count_filter_gates(0)

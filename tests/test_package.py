@@ -1,0 +1,19 @@
+import qpcasim
+
+# builders no pipeline path ran; the filter's gate budget lives in
+# cost_proposed(n, m).per_block["filter"], the exponentials in
+# build_phase_estimation(...).ops[n:2n]
+DELETED = ("build_qft_adder", "count_filter_gates", "matrix_exponential_unitary")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(qpcasim.__all__)) == len(qpcasim.__all__)
+    for name in qpcasim.__all__:
+        assert getattr(qpcasim, name) is not None, name
+
+
+def test_deleted_builders_are_gone():
+    for name in DELETED:
+        assert name not in qpcasim.__all__
+        assert not hasattr(qpcasim, name)
+        assert not any(hasattr(getattr(qpcasim, mod), name) for mod in ("builders", "filtering"))

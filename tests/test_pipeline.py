@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from qpcasim import (
     post_select,
     run,
     run_qpca,
+    sim,
     uncompute,
 )
 
@@ -88,6 +90,18 @@ class TestHermitianInput:
             HermitianInput.from_matrix(far)
         with pytest.raises(ValueError, match="symmetric"):
             PhaseEstimationSpec(far, eig_bits=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # every tolerance test is false for NaN, so finiteness is checked first
+        m = np.array([[1.5, 0.5], [0.5, 1.5]])
+        m[0, 1] = m[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"entry \(0,1\) is .*not a finite number"):
+                HermitianInput.from_matrix(m)
+            with pytest.raises(ValueError, match="not a finite number"):
+                PhaseEstimationSpec(m, eig_bits=2)
 
     def test_zero_matrix_has_no_encoding(self):
         hin = HermitianInput.from_matrix(np.zeros((2, 2)))
@@ -332,7 +346,7 @@ class TestRunQpca:
 
     def test_wide_register_memory(self):
         # dim 4 at n = 6 is 17 qubits, 2 MiB per state copy; the filter and
-        # flip are gather maps, so no 4096 x 4096 matrix (268 MB) is built
+        # flip are permutation maps, so no 4096 x 4096 matrix (268 MB) is built
         rng = np.random.default_rng(8)
         mat, _ = random_integer_spectrum_matrix(rng, 4, 6, tau=20.5)
         hin = HermitianInput.from_matrix(mat)
@@ -375,6 +389,20 @@ class TestRunQpca:
             assert r.kept_eigenvalues == (3.0, 2.0)
         with pytest.warns(SpectralPrecisionWarning):
             run_qpca(HermitianInput.from_matrix(np.diag([2.3, 1.0])), QpcaConfig(tau=1.5, n_bits=2))
+
+    def test_warm_call_inverts_one_permutation_map(self, monkeypatch):
+        # the filter and the flip are stored as the functions they compute:
+        # a warm call inverts only the filter, for uncompute's filter^dagger,
+        # and the shared phase-estimation gates keep their inverses
+        rng = np.random.default_rng(8)
+        mat, _ = random_integer_spectrum_matrix(rng, 4, 6, tau=20.5)
+        hin, config = HermitianInput.from_matrix(mat), QpcaConfig(tau=20.5, n_bits=6)
+        run_qpca(hin, config)
+        sizes = []
+        inverse_map = sim._inverse_map
+        monkeypatch.setattr(sim, "_inverse_map", lambda g: sizes.append(g.size) or inverse_map(g))
+        assert abs(run_qpca(hin, config).fidelity - 1.0) < 1e-9
+        assert sizes == [4096]
 
     def test_rejects_non_power_of_two_dimension(self):
         hin = HermitianInput.from_matrix(np.eye(3))

@@ -124,7 +124,7 @@ class TestGateOp:
     def test_gather_map_is_stored_as_integers(self):
         op = GateOp([1, 2, 3, 0], (0, 1))
         assert op.matrix.ndim == 1 and op.matrix.dtype.kind == "i"
-        assert np.array_equal(gate_matrix(op), np.roll(np.eye(4), 1, axis=1))
+        assert np.array_equal(gate_matrix(op), np.roll(np.eye(4), 1, axis=0))
         with pytest.raises(ValueError):
             op.matrix[0] = 0
 
@@ -354,7 +354,7 @@ def _store_unchecked(state, top, keys, block):
 
 
 def _random_op(rng, wires):
-    """A dense, gather-map or block gate on 1-3 of ``wires``, controlled
+    """A dense, permutation-map or block gate on 1-3 of ``wires``, controlled
     with mixed polarities by some of the rest."""
     wires = [int(w) for w in rng.permutation(wires)]
     k = int(rng.integers(1, min(3, len(wires)) + 1))
@@ -493,8 +493,8 @@ class TestLiveRowState:
                     assert np.array_equal(full1, full2)
 
     def test_circuits_match_dense_operator(self):
-        # dense, block and gather-map gates together (every gate on the
-        # block), and circuits of gather maps alone, on qubits inside the
+        # dense, block and permutation-map gates together (every gate on the
+        # block), and circuits of permutation maps alone, on qubits inside the
         # stored key, across the key and the block, and inside the block
         rng = np.random.default_rng(73)
         kinds = set()
@@ -531,28 +531,28 @@ class TestLiveRowState:
         rng = np.random.default_rng(83)
         dense_op = GateOp(random_unitary(rng, 4), (3, 5), controls=((4, 0),))
         block_op = GateOp(np.stack([random_unitary(rng, 2) for _ in range(2)]), (4, 3))
-        gather_op = GateOp(rng.permutation(8), (5, 3, 4))
+        map_op = GateOp(rng.permutation(8), (5, 3, 4))
         for _ in range(2):
             for q in (6, 7, 8):
                 for lo in range(3):
                     # a gate on qubit lo sets the circuit's top
-                    for op in (dense_op, block_op, gather_op):
+                    for op in (dense_op, block_op, map_op):
                         s = StateVector(random_state(rng, q))
                         circ = Circuit(q, [hadamard(lo), op])
                         want = dense_operator(op, q) @ dense_operator(circ.ops[0], q) @ s.amps
                         assert np.max(np.abs(run(s, circ).amps - want)) < 1e-12
-                    # the gather map alone permutes the keys of a state stored
+                    # the permutation map alone permutes the keys of a state stored
                     # at qubit 6, 7 or 8
                     top = min(6 + lo, q)
                     keys, block = StateVector(random_state(rng, q)).rows(top)
                     s = StateVector._owned(q, top, keys.copy(), block.copy())
-                    want = dense_operator(gather_op, q) @ s.amps
-                    assert np.max(np.abs(apply(s, gather_op).amps - want)) < 1e-12
+                    want = dense_operator(map_op, q) @ s.amps
+                    assert np.max(np.abs(apply(s, map_op).amps - want)) < 1e-12
         assert set(dense_op._plans) == {("rows", q, lo) for q in (6, 7, 8) for lo in range(3)}
-        assert {k for k in gather_op._plans if k[0] == "keys"} == {("keys", t) for t in (6, 7, 8)}
+        assert {k for k in map_op._plans if k[0] == "keys"} == {("keys", t) for t in (6, 7, 8)}
 
     def test_key_permutation_moves_no_amplitude_value(self):
-        # a gather map inside the key only relabels rows
+        # a permutation map inside the key only relabels rows
         rng = np.random.default_rng(79)
         s, dense = _sparse_state(rng, 6)
         while s._top < 3:
@@ -622,7 +622,7 @@ class TestCircuit:
             Circuit(2).append(pauli_x(5))
 
     def test_run_matches_apply_and_dense_product(self):
-        # random circuits mixing dense and gather-map gates, targets in
+        # random circuits mixing dense and permutation-map gates, targets in
         # unsorted order, controls of both polarities between the targets
         rng = np.random.default_rng(47)
         interleaved = 0
