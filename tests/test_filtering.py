@@ -16,6 +16,7 @@ from qpcasim import (
     build_filter_table,
     build_filter_unitary,
     circuit_unitary,
+    cost_proposed,
     default_newton_iters,
     exact_shrink_table,
     newton_reciprocal,
@@ -334,3 +335,11 @@ class TestFilterUnitary:
         table = build_filter_table(FilterParams(tau=1.0, n_bits=2))
         with pytest.raises(ValueError, match="bit"):
             build_filter_unitary(table, RegisterLayout(eig_bits=3, data_qubits=2))
+
+
+class TestGateBudget:
+    def test_counts(self):
+        # The filter's gate budget is the "filter" block of the proposed cost.
+        assert cost_proposed(1, 2).per_block["filter"] == 16
+        assert cost_proposed(2, 2).per_block["filter"] == 32
+        assert cost_proposed(10, 2).per_block["filter"] == 160
