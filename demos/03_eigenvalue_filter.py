@@ -40,8 +40,8 @@ table = build_filter_table(FilterParams(tau=1.0, n_bits=4))
 errs = [abs(table.y_value(lam) - shrink(lam, 1.0)) for lam in range(2, 16)]
 print("max |y - shrink| at n=4:", max(errs))
 
-# The filter is one permutation on the joint y+lambda register:
-# |c>|lam> -> |c + y(lam) mod 4>|lam>.
+# The filter is one table-controlled add on the joint y+lambda register:
+# |c>|lam> -> |c + y(lam) mod 4>|lam>, the table holding y(lam).
 layout = RegisterLayout(eig_bits=2, data_qubits=2)
 op = build_filter_unitary(build_filter_table(FilterParams(1.0, 2)), layout)
 start = StateVector.basis(layout.num_qubits, 3 << layout.data_qubits)  # y=0, lam=3

@@ -1,7 +1,7 @@
 """Statevector simulation of eigenvalue-threshold quantum PCA.
 
-A small dense simulator (``sim``), circuit builders for QFT, phase
-estimation, and amplitude encoding (``builders``), a fixed-point eigenvalue
+A small dense simulator (``sim``), circuit builders for phase estimation
+and amplitude encoding (``builders``), a fixed-point eigenvalue
 filter (``filtering``), the end-to-end pipeline with a classical reference
 (``pipeline``), and gate-budget accounting (``complexity``).
 """
@@ -10,7 +10,6 @@ from .builders import (
     PhaseEstimationSpec,
     SpectralPrecisionWarning,
     build_phase_estimation,
-    build_qft,
     build_state_prep,
     state_prep_tree,
 )
@@ -51,7 +50,6 @@ from .sim import (
     ZeroProbabilityOutcome,
     apply,
     circuit_unitary,
-    cphase,
     hadamard,
     pauli_x,
     phase,
@@ -59,7 +57,6 @@ from .sim import (
     ry,
     run,
     sample,
-    swap,
 )
 
 __version__ = "0.1.0"
@@ -89,13 +86,11 @@ __all__ = [
     "build_filter_table",
     "build_filter_unitary",
     "build_phase_estimation",
-    "build_qft",
     "build_state_prep",
     "circuit_unitary",
     "classical_pca_oracle",
     "cost_baseline",
     "cost_proposed",
-    "cphase",
     "default_newton_iters",
     "exact_shrink_table",
     "fidelity",
@@ -113,6 +108,5 @@ __all__ = [
     "sample",
     "shrink",
     "state_prep_tree",
-    "swap",
     "uncompute",
 ]

@@ -1,4 +1,4 @@
-"""Circuit builders: QFT, phase estimation, binary-tree state preparation."""
+"""Circuit builders: phase estimation, binary-tree state preparation."""
 
 from __future__ import annotations
 
@@ -94,10 +94,19 @@ def _exp_matrices(spec: PhaseEstimationSpec, powers) -> np.ndarray:
 
 @functools.lru_cache
 def _register_gates(qubits: tuple[int, ...]) -> tuple[tuple[GateOp, ...], tuple[GateOp, ...]]:
-    """The gates that depend only on a register: a Hadamard per qubit and
-    the gates of ``build_qft(n)``, wired onto ``qubits``.  Built and checked
-    once per register placement, each with its inverse kept (H and the bit
-    reversal are their own), so phase estimation's inverse QFT is the kept
+    """The gates that depend only on a register, wired onto ``qubits``: a
+    Hadamard per qubit, and the semiclassical QFT (Griffiths & Niu,
+    quant-ph/9511007) without its output bit reversal.
+
+    Qubit i of the QFT gets one uniformly controlled single-qubit gate on
+    targets (i+1, ..., n-1, i): its block for the value c of qubits
+    i+1 .. n-1 is the Hadamard fused with every controlled phase those
+    qubits apply to qubit i, diag(1, e^(2 pi i c / 2**(n-i))) H.  The n
+    block stacks together hold 2**n - 1 2x2 matrices; applied in order they
+    are the Fourier transform followed by a reversal of the register's bits.
+
+    Built and checked once per register placement, each with its inverse
+    kept (H is its own), so phase estimation's inverse QFT is the kept
     daggers and a circuit's ``inverse`` reuses them.  The circuit width is
     not part of the key: a gate keeps a kernel plan per width it runs at.
     """
@@ -116,29 +125,9 @@ def _register_gates(qubits: tuple[int, ...]) -> tuple[tuple[GateOp, ...], tuple[
         blocks[:, 1, 0] = s * phases
         blocks[:, 1, 1] = -s * phases
         qft.append(GateOp(blocks, qubits[i + 1 :] + qubits[i : i + 1], label=f"QFT(qubit {i})"))
-    if n > 1:
-        # value j goes to j with its n bits reversed: the axes of (2,)*n reversed
-        reverse = np.arange(1 << n).reshape((2,) * n).transpose().reshape(-1)
-        qft.append(GateOp(reverse, qubits, label="bit reversal"))
     for op in hadamards + tuple(qft):
         op.keep_inverse()
     return hadamards, tuple(qft)
-
-
-def build_qft(num_qubits: int) -> Circuit:
-    """Fourier transform circuit whose matrix is F[j,k] = w^(jk)/sqrt(N).
-
-    The semiclassical form (Griffiths & Niu, quant-ph/9511007) in n + 1
-    gates.  Qubit i gets one uniformly controlled single-qubit gate on
-    targets (i+1, ..., n-1, i): its block for the value c of qubits
-    i+1 .. n-1 is the Hadamard fused with every controlled phase those
-    qubits apply to qubit i, diag(1, e^(2 pi i c / 2**(n-i))) H.  One bit
-    reversal permutation map, for n > 1, replaces the floor(n/2) SWAPs.
-    The blocks together hold 2**n - 1 2x2 matrices.  The gates are built
-    once per width and shared; the circuit around them is new on each
-    call, so callers may extend it.
-    """
-    return Circuit(num_qubits, _register_gates(tuple(range(int(num_qubits))))[1])
 
 
 def build_phase_estimation(
@@ -153,15 +142,19 @@ def build_phase_estimation(
     lambda_k is an integer in [0, 2**eig_bits); superpositions of eigenvectors
     come out entangled with their eigenvalue register states.
 
-    The circuit has 3n + 1 gates for n = eig_bits > 1 (3 for n = 1): a
-    Hadamard per register qubit, one controlled exp(2 pi i A 2**p / 2**n)
-    per register qubit, and the inverse of ``build_qft(n)``: n uniformly
-    controlled gates and a bit reversal, taken as the kept daggers of its
-    gates in reverse order.  The Hadamards and the QFT depend only on the
-    register; they are built, checked and inverted once per register
-    placement and shared, so the circuit's ``inverse`` reuses them.  Each
-    call builds only the n controlled exponentials, from one batched
-    product, checked together by one unitarity test.
+    The circuit has 3n gates for n = eig_bits: a Hadamard per register
+    qubit, one controlled exp(2 pi i A 2**i / 2**n) per register qubit i,
+    and the inverse of the QFT's n uniformly controlled gates, taken as
+    their kept daggers in reverse order.  Qubit i carries weight 2**i as a
+    control: that labelling absorbs the QFT's output bit reversal, so the
+    inverse QFT needs none, and the register still reads lambda with qubit
+    0 as its most significant bit.  As a unitary the circuit is textbook
+    phase estimation after a reversal of the register's bits, which leaves
+    |0...0> unchanged.  The Hadamards and the QFT gates depend only on the register; they are
+    built, checked and inverted once per register placement and shared, so
+    the circuit's ``inverse`` reuses them.  Each call builds only the n
+    controlled exponentials, from one batched product, checked together by
+    one unitarity test.
     """
     lam_qubits = tuple(int(q) for q in lam_qubits)
     target_qubits = tuple(int(q) for q in target_qubits)
@@ -180,15 +173,19 @@ def build_phase_estimation(
 
     n = spec.eig_bits
     hadamards, qft = _register_gates(lam_qubits)
-    # register qubit i carries bit weight 2**(n-1-i)
+    # register qubit p controls power p.  The powers in descending order and
+    # the Hadamards in reverse make the same floating-point operations as the
+    # textbook order (qubit i controlling power n-1-i, then the reversal) on
+    # relabelled qubits, so the results agree with it bit for bit
     powers = range(n - 1, -1, -1)
     exps = GateOp.stack(
         _exp_matrices(spec, powers),
         target_qubits,
-        [((lq, 1),) for lq in lam_qubits],
+        [((lam_qubits[p], 1),) for p in powers],
         [f"c-exp(2pi.i.A.2^{p}/{spec.scale})" for p in powers],
     )
-    return Circuit(num_qubits, hadamards + exps + tuple(op.dagger() for op in reversed(qft)))
+    inverse_qft = tuple(op.dagger() for op in reversed(qft))
+    return Circuit(num_qubits, hadamards[::-1] + exps + inverse_qft)
 
 
 @dataclass(eq=False)

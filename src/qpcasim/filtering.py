@@ -266,19 +266,16 @@ def exact_shrink_table(params: FilterParams) -> FilterTable:
 
 
 def build_filter_unitary(table: FilterTable, layout: RegisterLayout) -> GateOp:
-    """Permutation gate |c>_y |lambda> -> |c + y(lambda) mod 2**n>_y |lambda>.
+    """Table-controlled add |c>_y |lambda> -> |c + y(lambda) mod 2**n>_y |lambda>.
 
     Acting on the joint y+lambda register; the table is compiled in as
-    classical data, so no work qubits are consumed.  The gate is the
-    permutation map sending each joint value to its image.
+    classical data, so no work qubits are consumed.  The gate stores the
+    2**n table entries y(lambda): the add of Draper's adder
+    (quant-ph/0008033), with the addend read from the table.
     """
     n = table.params.n_bits
     if len(layout.y_reg) != n:
         raise ValueError(
             f"table built for {n}-bit registers but layout has {len(layout.y_reg)}"
         )
-    size = 1 << n
-    y = np.array(table.y_raws)
-    c, lam = np.divmod(np.arange(size * size), size)
-    image = ((c + y[lam]) % size) * size + lam
-    return GateOp(image, layout.y_reg + layout.lambda_reg, label="U_lambda_tau")
+    return GateOp(np.array(table.y_raws), layout.y_reg + layout.lambda_reg, label="U_lambda_tau")

@@ -178,12 +178,11 @@ def fidelity(a, b) -> float:
 def ancilla_flip_gate(layout: RegisterLayout) -> GateOp:
     """X on the ancilla for every nonzero y-register value (OR over y bits).
 
-    A permutation map over (ancilla, y); the flip is its own inverse.
+    A table add of (y != 0) onto the ancilla, mod 2; the flip is its own
+    inverse.
     """
-    size = 1 << layout.eig_bits
-    anc, y = np.divmod(np.arange(2 * size), size)
-    image = (anc ^ (y != 0)) * size + y
-    return GateOp(image, (layout.ancilla,) + layout.y_reg, label="CU_flip")
+    flips = np.arange(1 << layout.eig_bits) != 0
+    return GateOp(flips.astype(np.intp), (layout.ancilla,) + layout.y_reg, label="CU_flip")
 
 
 def _work_rows(state: StateVector, layout: RegisterLayout):

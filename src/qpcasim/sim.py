@@ -22,8 +22,8 @@ finiteness and norm checks therefore cost O(live amplitudes), not O(2**Q).
   circuit whose gates leave qubits 0 .. top-1 untouched acts as I (x) U on
   the rows, so a zero row stays zero, and every gate is applied to the
   block alone through ``_apply_into``.
-* A circuit of permutation maps only (the eigenvalue filter, the ancilla
-  flip) instead moves every qubit it touches into the key and maps the keys:
+* A circuit of table adds only (the eigenvalue filter, the ancilla flip)
+  instead moves every qubit it touches into the key and maps the keys:
   O(live rows) of index arithmetic, no arithmetic on amplitudes.  The block's
   rows are reordered only to keep the keys ascending.
 * ``post_select``, ``probabilities`` and ``sample`` read the live rows only;
@@ -41,27 +41,26 @@ transpose bringing its targets forward and the shapes, keyed by
 masks in a row key, keyed by top.  ``_permute_keys`` reads the target
 values through one bit matrix of the keys, so it makes a fixed number of
 numpy calls for any wiring.  Gates built once and shared (the Hadamards
-and the QFT of a register, one set per register placement)
-also keep their inverse (``GateOp.keep_inverse``), so ``dagger`` and
-``Circuit.inverse`` return it instead of building it again.  Per-call gates
-keep no inverse: the filter's would hold a second 2**(2n)-entry map for as
-long as the filter lives.
+and the QFT gates of a register, one set per register placement) also keep
+their inverse (``GateOp.keep_inverse``), so ``dagger`` and
+``Circuit.inverse`` return it instead of building it again.
 
 A gate on k target qubits holds one of three forms in ``GateOp.matrix``:
 
 * a dense (2**k x 2**k) complex unitary M, applied as ``M @ amps``;
-* a length-2**k integer permutation map f, the function the gate
-  computes on basis values: value j goes to f[j], the permutation matrix
-  with M[f[j], j] = 1.  Table-compiled classical blocks (the eigenvalue
-  filter, the ancilla flip) use this form, so a 2n-qubit permutation costs
-  2**(2n) integers instead of a 2**(4n) matrix;
 * a (B, d, d) stack of unitary blocks with B * d = 2**k, the block-diagonal
   matrix diag(M_0, ..., M_{B-1}): the leading log2(B) targets select the
   block, which acts on the remaining targets.  A uniformly controlled
   rotation, one rotation per value of its control qubits, is one such gate;
   state preparation emits one per level of its binary tree, and the QFT one
   per qubit, each block a Hadamard fused with the controlled phases that
-  qubit receives.
+  qubit receives;
+* a length-2**r integer table T with r < k, the table-controlled add
+  (c, lam) -> ((c + T[lam]) mod 2**(k-r), lam): the leading k - r targets
+  hold c and the trailing r targets hold lam.  Any integer table is a
+  bijection, and the inverse adds -T.  Table-compiled classical blocks (the
+  eigenvalue filter, the ancilla flip) use this form, so a 2n-qubit filter
+  costs 2**n integers.
 """
 
 from __future__ import annotations
@@ -231,43 +230,30 @@ def _conj_transpose(m: np.ndarray) -> np.ndarray:
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
-    gram = _conj_transpose(m) @ m
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN, refused by the caller
+        gram = _conj_transpose(m) @ m
     return float(np.max(np.abs(gram - np.eye(m.shape[-1]))))
 
 
 def _check_unitary(m: np.ndarray) -> None:
     """Raise unless the dense matrix, or every matrix of a stack, is unitary."""
     defect = _unitarity_defect(m)
-    if defect > UNITARY_ATOL:
+    if not defect <= UNITARY_ATOL:  # NaN compares false either way
         raise NonUnitaryMatrixError(f"matrix deviates from unitarity by {defect:.3e}")
-
-
-def _is_permutation(g: np.ndarray) -> bool:
-    """True when ``g`` holds every value of range(len(g)) exactly once."""
-    size = g.size
-    if g.min() < 0 or g.max() >= size:
-        return False
-    return bool(np.all(np.bincount(g, minlength=size) == 1))
-
-
-def _inverse_map(g: np.ndarray) -> np.ndarray:
-    """The inverse of the permutation ``g``: the h with h[g[i]] = i."""
-    h = np.empty_like(g)
-    h[g] = np.arange(g.size)
-    return h
 
 
 class GateOp:
     """A k-qubit unitary acting on ``targets``, optionally controlled.
 
-    ``matrix`` is a dense 2**k x 2**k unitary; for a permutation, a
-    length-2**k integer permutation map f, sending basis value j to f[j]
-    (M[f[j], j] = 1); or, for a block-diagonal gate, a (B, d, d) stack of
-    blocks with B * d = 2**k, selected by the leading targets (see the module
-    docstring).  A one-dimensional integer array selects the map form; it is
-    checked to be a permutation of range(2**k), a dense matrix or each block
-    to be unitary, all at construction.  ``dagger`` and ``remap`` reuse the
-    checked matrix and check only the wiring.
+    ``matrix`` is a dense 2**k x 2**k unitary; for a block-diagonal gate, a
+    (B, d, d) stack of blocks with B * d = 2**k, selected by the leading
+    targets; or, for a table-controlled add, a length-2**r integer table T
+    with r < k, adding T[lam] of the trailing r targets into the leading
+    k - r modulo 2**(k-r) (see the module docstring).  A one-dimensional
+    integer array selects the table form; only its length is checked, and it
+    is stored reduced modulo 2**(k-r).  A dense matrix or each block is
+    checked to be unitary at construction.  ``dagger`` and ``remap`` reuse
+    the checked matrix and check only the wiring.
 
     ``controls`` is a sequence of (qubit, polarity) pairs; polarity 1 fires
     on |1>, polarity 0 on |0>.  Bare qubit indices mean polarity 1.
@@ -283,11 +269,9 @@ class GateOp:
         k = len(targets)
         m = np.asarray(matrix)
         if m.ndim == 1 and m.dtype.kind in "iu":
-            m = np.array(m, dtype=np.intp)
-            if m.size != 1 << k:
-                raise ValueError(f"map length {m.size} does not match {k} target qubit(s)")
-            if not _is_permutation(m):
-                raise NonUnitaryMatrixError(f"map is not a permutation of range({m.size})")
+            if m.size & (m.size - 1) or not 0 < m.size < 1 << k:
+                raise ValueError(f"table length {m.size} is not a power of two below 2**{k}")
+            m = np.mod(m, (1 << k) // m.size).astype(np.intp, copy=False)
         else:
             m = np.array(matrix, dtype=np.complex128)
             if m.ndim == 3:
@@ -337,14 +321,14 @@ class GateOp:
 
     def _build_inverse(self) -> "GateOp":
         if self.matrix.ndim == 1:
-            inverse = _inverse_map(self.matrix)
+            inverse = np.mod(-self.matrix, (1 << len(self.targets)) // self.matrix.size)
         else:
             inverse = _conj_transpose(self.matrix)
         return GateOp._trusted(inverse, self.targets, self.controls, self.label)
 
     def dagger(self) -> "GateOp":
-        """Inverse gate, same wiring: the inverse of a permutation map,
-        the conjugate transpose of a dense matrix or of each block.  Built
+        """Inverse gate, same wiring: the conjugate transpose of a dense
+        matrix or of each block, the add of -T for a table T.  Built
         anew on each call, unless the gate keeps its inverse."""
         if self._inverse is not None:
             return self._inverse
@@ -422,11 +406,6 @@ class Circuit:
             raise ValueError("qubit_map length must match circuit width")
         return Circuit(num_qubits, [op.remap(qubit_map) for op in self._ops])
 
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if other.num_qubits != self.num_qubits:
-            raise ValueError("cannot concatenate circuits of different widths")
-        return Circuit(self.num_qubits, list(self._ops) + list(other._ops))
-
     def __len__(self) -> int:
         return len(self._ops)
 
@@ -450,7 +429,12 @@ def _rows_plan(op: GateOp, num_qubits: int, top: int) -> tuple:
         ndim = num_qubits - top + 1 - len(op.controls)
         order = tuple(axes + [a for a in range(ndim) if a not in axes])
         gate = op.matrix
-        flat = gate.shape[:2] + (-1,) if gate.ndim == 3 else (1 << len(axes), -1)
+        if gate.ndim == 3:  # (block, row in block, rest)
+            flat = gate.shape[:2] + (-1,)
+        elif gate.ndim == 1:  # (c, lam, rest)
+            flat = ((1 << len(axes)) // gate.size, gate.size, -1)
+        else:
+            flat = (1 << len(axes), -1)
         plan = op._plans[key] = ((-1,) + (2,) * (num_qubits - top), tuple(index), order, flat)
     return plan
 
@@ -469,9 +453,10 @@ def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None
     sub = rows.reshape(shape)[index].transpose(order)
     gate = op.matrix
     if gate.ndim == 1:
+        # the amplitude at (c, lam) moves to (c + T[lam], lam)
         src = sub.reshape(flat)
-        new = np.empty_like(src)
-        new[gate] = src
+        c = np.arange(src.shape[0])[:, None]
+        new = src[(c - gate) % src.shape[0], np.arange(gate.size)]
     else:
         new = gate @ sub.reshape(flat)
     sub[...] = new.reshape(sub.shape)
@@ -496,13 +481,16 @@ def _keys_plan(op: GateOp, top: int) -> tuple:
 
 
 def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
-    """Row keys after the permutation map ``op``, all of whose qubits lie in
-    qubits 0 .. top-1: a row whose controls fire moves from target value j
-    to f[j].  O(len(keys)) in a fixed number of numpy calls, through the
-    (len(keys), k) matrix of the target bits; no amplitude moves."""
+    """Row keys after the table add ``op``, all of whose qubits lie in
+    qubits 0 .. top-1: a row whose controls fire moves from target value
+    c * 2**r + lam to (c + T[lam]) * 2**r + lam, modulo 2**k.  O(len(keys))
+    in a fixed number of numpy calls, through the (len(keys), k) matrix of
+    the target bits; no amplitude moves."""
     shifts, weights, places, clear, fire_mask, fire_value = _keys_plan(op, top)
+    table = op.matrix
     value = ((keys[:, None] >> shifts) & 1) @ weights
-    value = op.matrix[value]
+    # the carry out of the k target bits is dropped below: the sum is mod 2**(k-r)
+    value = value + table[value & (table.size - 1)] * table.size
     moved = (keys & clear) | (((value[:, None] & weights) != 0) @ places)
     if fire_mask:
         moved = np.where((keys & fire_mask) == fire_value, moved, keys)
@@ -512,8 +500,8 @@ def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
 def _evolve(state: StateVector, ops: Sequence[GateOp]) -> StateVector:
     """A new state holding ``ops`` applied in order to ``state``.
 
-    A circuit of permutation maps only moves every qubit it touches into the
-    key and maps the keys; any other circuit is re-keyed to its lowest
+    A circuit of table adds only moves every qubit it touches into the key
+    and maps the keys; any other circuit is re-keyed to its lowest
     qubit and applied to the block.  ``state`` is never written.
     """
     q = state.num_qubits
@@ -624,12 +612,3 @@ def ry(theta: float, qubit: int, controls=()) -> GateOp:
 
 def phase(theta: float, qubit: int, controls=()) -> GateOp:
     return GateOp([[1, 0], [0, np.exp(1j * theta)]], (qubit,), controls, label=f"P({theta:.4f})")
-
-
-def cphase(theta: float, control: int, target: int) -> GateOp:
-    return phase(theta, target, controls=((control, 1),))
-
-
-def swap(a: int, b: int) -> GateOp:
-    m = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
-    return GateOp(m, (a, b), label="SWAP")

@@ -5,18 +5,63 @@ loops, exact rational arithmetic) so that agreement with the package is
 evidence, not tautology.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
-from qpcasim import Circuit, GateOp, cphase, hadamard, ry, state_prep_tree, swap
-from qpcasim.builders import _exp_matrices
+from qpcasim import Circuit, GateOp, circuit_unitary, hadamard, phase, ry, state_prep_tree
+from qpcasim.builders import _exp_matrices, _register_gates
+
+
+def cphase(theta: float, control: int, target: int) -> GateOp:
+    return phase(theta, target, controls=((control, 1),))
+
+
+def swap(a: int, b: int) -> GateOp:
+    m = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    return GateOp(m, (a, b), label="SWAP")
+
+
+@functools.lru_cache
+def bit_reversal(num_qubits: int) -> GateOp:
+    """Dense permutation sending the register value j to j with its bits
+    reversed, written out entry by entry; built once per width."""
+    size = 1 << num_qubits
+    m = np.zeros((size, size))
+    for j in range(size):
+        m[int(format(j, f"0{num_qubits}b")[::-1], 2), j] = 1.0
+    return GateOp(m, tuple(range(num_qubits)), label="bit reversal")
+
+
+def build_qft(num_qubits: int) -> Circuit:
+    """Fourier transform circuit whose matrix is F[j,k] = w^(jk)/sqrt(N):
+    the package's n uniformly controlled QFT gates, then a dense bit
+    reversal for n > 1.  The gates are shared; the circuit is new on each
+    call, so callers may extend it."""
+    circ = Circuit(num_qubits, _register_gates(tuple(range(num_qubits)))[1])
+    if num_qubits > 1:
+        circ.append(bit_reversal(num_qubits))
+    return circ
+
+
+def add_table_matrix(table, k: int) -> np.ndarray:
+    """Dense 2**k x 2**k matrix of the table add (c, lam) -> ((c + T[lam])
+    mod 2**(k-r), lam), with T of length 2**r, one entry per source value
+    c * 2**r + lam."""
+    size = len(table)
+    mod = (1 << k) // size
+    out = np.zeros((1 << k, 1 << k), dtype=complex)
+    for c in range(mod):
+        for lam in range(size):
+            out[((c + int(table[lam])) % mod) * size + lam, c * size + lam] = 1.0
+    return out
 
 
 def gate_matrix(op) -> np.ndarray:
-    """The 2**k x 2**k matrix of a GateOp's targets; a permutation map f
-    becomes the permutation matrix with M[f[j], j] = 1, a (B, d, d) block stack the
-    block-diagonal matrix with block j on rows and columns j*d .. j*d+d-1."""
+    """The 2**k x 2**k matrix of a GateOp's targets; a (B, d, d) block stack
+    becomes the block-diagonal matrix with block j on rows and columns
+    j*d .. j*d+d-1, a table T the matrix of its add (``add_table_matrix``)."""
     if op.matrix.ndim == 2:
         return op.matrix
     if op.matrix.ndim == 3:
@@ -27,11 +72,15 @@ def gate_matrix(op) -> np.ndarray:
                 for c in range(d):
                     out[j * d + r, j * d + c] = op.matrix[j, r, c]
         return out
-    size = op.matrix.size
-    out = np.zeros((size, size), dtype=complex)
-    for j in range(size):
-        out[op.matrix[j], j] = 1.0
-    return out
+    return add_table_matrix(op.matrix, len(op.targets))
+
+
+def simulated_matrix(op) -> np.ndarray:
+    """The matrix of an uncontrolled GateOp as the simulator applies it:
+    ``circuit_unitary`` of the gate moved onto qubits 0 .. k-1, target i to
+    qubit i."""
+    wiring = {t: i for i, t in enumerate(op.targets)}
+    return circuit_unitary(Circuit(len(op.targets), [op.remap(wiring)]))
 
 
 def dense_operator(op, num_qubits: int) -> np.ndarray:
@@ -97,7 +146,8 @@ def qft_reference(num_qubits: int) -> Circuit:
 def phase_estimation_reference(spec, lam_qubits, target_qubits, num_qubits=None) -> Circuit:
     """Textbook phase estimation: a Hadamard on each register qubit, one
     controlled exp(2 pi i A 2**(n-1-i) / 2**n) per register qubit i, then the
-    inverse of ``qft_reference`` on the register."""
+    inverse of ``qft_reference`` on the register.  ``build_phase_estimation``
+    equals this circuit after a reversal of the register's bits."""
     lam_qubits, target_qubits = tuple(lam_qubits), tuple(target_qubits)
     if num_qubits is None:
         num_qubits = max(lam_qubits + target_qubits) + 1

@@ -3,7 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import filter_permutation_matrix, gate_matrix, newton_reciprocal_fraction
+from helpers import (
+    filter_permutation_matrix,
+    gate_matrix,
+    newton_reciprocal_fraction,
+    simulated_matrix,
+)
 from qpcasim import (
     Circuit,
     FilterParams,
@@ -312,14 +317,18 @@ class TestFilterUnitary:
     @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
     @pytest.mark.parametrize("tau", [0.5, 2.5, 1.0, 3.0, 0.3, 2.9])
     def test_matches_dense_reference(self, n_bits, tau):
-        # half-integer, integer and off-grid thresholds, every basis state
+        # half-integer, integer and off-grid thresholds, every basis state,
+        # as the gate's matrix and as the simulator applies it
         layout = RegisterLayout(eig_bits=n_bits, data_qubits=2)
         table = build_filter_table(FilterParams(tau=tau, n_bits=n_bits))
         op = build_filter_unitary(table, layout)
         assert op.targets == layout.y_reg + layout.lambda_reg
+        assert op.matrix.size == 1 << n_bits
         want = filter_permutation_matrix(table)
         assert np.array_equal(gate_matrix(op), want)
         assert np.array_equal(gate_matrix(op.dagger()), want.T)
+        assert np.array_equal(simulated_matrix(op), want)
+        assert np.array_equal(simulated_matrix(op.dagger()), want.T)
 
     def test_inverse_restores(self):
         layout = RegisterLayout(eig_bits=2, data_qubits=2)

@@ -2,8 +2,18 @@ import qpcasim
 
 # builders no pipeline path ran; the filter's gate budget lives in
 # cost_proposed(n, m).per_block["filter"], the exponentials in
-# build_phase_estimation(...).ops[n:2n]
-DELETED = ("build_qft_adder", "count_filter_gates", "matrix_exponential_unitary")
+# build_phase_estimation(...).ops[n:2n].  The DFT (build_qft), swap and
+# cphase are test references now (tests/helpers.py); circuits concatenate
+# as Circuit(n, a.ops + b.ops)
+DELETED = (
+    "build_qft_adder",
+    "count_filter_gates",
+    "matrix_exponential_unitary",
+    "build_qft",
+    "swap",
+    "cphase",
+    "__add__",
+)
 
 
 def test_every_exported_name_resolves():
@@ -16,4 +26,5 @@ def test_deleted_builders_are_gone():
     for name in DELETED:
         assert name not in qpcasim.__all__
         assert not hasattr(qpcasim, name)
-        assert not any(hasattr(getattr(qpcasim, mod), name) for mod in ("builders", "filtering"))
+        owners = [getattr(qpcasim, mod) for mod in ("sim", "builders", "filtering")]
+        assert not any(hasattr(owner, name) for owner in owners + [qpcasim.Circuit])

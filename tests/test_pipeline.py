@@ -11,6 +11,7 @@ from helpers import (
     gate_matrix,
     matrix_with_spectrum,
     random_integer_spectrum_matrix,
+    simulated_matrix,
 )
 from qpcasim import (
     AllComponentsFiltered,
@@ -173,9 +174,12 @@ class TestAncillaFlip:
         layout = RegisterLayout(eig_bits=n_bits, data_qubits=2)
         gate = ancilla_flip_gate(layout)
         assert gate.targets == (layout.ancilla,) + layout.y_reg
+        assert gate.matrix.size == 1 << n_bits
         want = flip_permutation_matrix(n_bits)
         assert np.array_equal(gate_matrix(gate), want)
         assert np.array_equal(gate_matrix(gate.dagger()), want.T)
+        assert np.array_equal(simulated_matrix(gate), want)
+        assert np.array_equal(simulated_matrix(gate.dagger()), want.T)
 
     def test_involution(self):
         layout = RegisterLayout(eig_bits=2, data_qubits=2)
@@ -185,6 +189,10 @@ class TestAncillaFlip:
         vec /= np.linalg.norm(vec)
         got = apply(apply(StateVector(vec), gate), gate)
         assert np.max(np.abs(got.amps - vec)) < 1e-12
+
+    def test_keeps_itself_as_inverse(self):
+        gate = ancilla_flip_gate(RegisterLayout(eig_bits=3, data_qubits=2))
+        assert gate.keep_inverse() is gate and gate.dagger() is gate
 
 
 def pipeline_before_measurement(hin, tau, n_bits):
@@ -346,7 +354,7 @@ class TestRunQpca:
 
     def test_wide_register_memory(self):
         # dim 4 at n = 6 is 17 qubits, 2 MiB per state copy; the filter and
-        # flip are permutation maps, so no 4096 x 4096 matrix (268 MB) is built
+        # flip are table adds, so no 4096 x 4096 matrix (268 MB) is built
         rng = np.random.default_rng(8)
         mat, _ = random_integer_spectrum_matrix(rng, 4, 6, tau=20.5)
         hin = HermitianInput.from_matrix(mat)
@@ -390,19 +398,25 @@ class TestRunQpca:
         with pytest.warns(SpectralPrecisionWarning):
             run_qpca(HermitianInput.from_matrix(np.diag([2.3, 1.0])), QpcaConfig(tau=1.5, n_bits=2))
 
-    def test_warm_call_inverts_one_permutation_map(self, monkeypatch):
-        # the filter and the flip are stored as the functions they compute:
-        # a warm call inverts only the filter, for uncompute's filter^dagger,
-        # and the shared phase-estimation gates keep their inverses
+    def test_warm_call_tables_hold_one_entry_per_register_value(self, monkeypatch):
+        # the filter and the flip are table adds of 2**n entries: a warm call
+        # builds the filter, the flip and uncompute's filter^dagger, and no
+        # table over the joint y+lambda register (4096 entries at n = 6)
         rng = np.random.default_rng(8)
         mat, _ = random_integer_spectrum_matrix(rng, 4, 6, tau=20.5)
         hin, config = HermitianInput.from_matrix(mat), QpcaConfig(tau=20.5, n_bits=6)
         run_qpca(hin, config)
         sizes = []
-        inverse_map = sim._inverse_map
-        monkeypatch.setattr(sim, "_inverse_map", lambda g: sizes.append(g.size) or inverse_map(g))
+        set_gate = sim.GateOp._set
+
+        def record(op, matrix, *args):
+            if matrix.ndim == 1:
+                sizes.append(matrix.size)
+            set_gate(op, matrix, *args)
+
+        monkeypatch.setattr(sim.GateOp, "_set", record)
         assert abs(run_qpca(hin, config).fidelity - 1.0) < 1e-9
-        assert sizes == [4096]
+        assert sizes == [64] * 3
 
     def test_rejects_non_power_of_two_dimension(self):
         hin = HermitianInput.from_matrix(np.eye(3))

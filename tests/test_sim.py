@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import dense_operator, gate_matrix, random_state, random_unitary
+from helpers import cphase, dense_operator, gate_matrix, random_state, random_unitary, swap
 from qpcasim import (
     Circuit,
     GateOp,
@@ -11,8 +13,8 @@ from qpcasim import (
     StateVector,
     ZeroProbabilityOutcome,
     apply,
+    build_state_prep,
     circuit_unitary,
-    cphase,
     hadamard,
     pauli_x,
     post_select,
@@ -20,7 +22,6 @@ from qpcasim import (
     ry,
     sample,
     sim,
-    swap,
 )
 
 
@@ -99,6 +100,17 @@ class TestGateOp:
         m = np.eye(2) + 1e-12
         GateOp(m, (0,))  # defect well under tolerance
 
+    def test_non_finite_matrix_rejected(self):
+        # NaN and infinity fail every tolerance comparison, so they must not pass as small
+        with pytest.raises(NonUnitaryMatrixError):
+            GateOp([[np.nan, 0], [0, 1]], 0)
+        with pytest.raises(NonUnitaryMatrixError):
+            GateOp(np.full((2, 2, 2), np.inf), (0, 1))
+        with pytest.raises(NonUnitaryMatrixError):
+            GateOp.stack(np.stack([np.eye(2), np.full((2, 2), np.nan)]), (0,), [(), ()], ["a", "b"])
+        with pytest.raises(NonUnitaryMatrixError):
+            build_state_prep([np.nan, 1.0])
+
     def test_large_permutation_accepted(self):
         # cyclic shift on 6 qubits, given as a dense matrix
         size = 64
@@ -122,20 +134,21 @@ class TestGateOp:
         assert np.max(np.abs(prod - np.eye(4))) < 1e-12
 
     def test_gather_map_is_stored_as_integers(self):
-        op = GateOp([1, 2, 3, 0], (0, 1))
+        # the table [1, 0] adds 1 to qubit 0 where qubit 1 reads 0: an X on
+        # qubit 0 controlled by qubit 1 at polarity 0.  Any integer is a
+        # valid entry; it is stored modulo 2**(k-r)
+        op = GateOp([-3, 4], (0, 1))
         assert op.matrix.ndim == 1 and op.matrix.dtype.kind == "i"
-        assert np.array_equal(gate_matrix(op), np.roll(np.eye(4), 1, axis=0))
+        assert op.matrix.tolist() == [1, 0]
+        assert np.array_equal(gate_matrix(op), dense_operator(pauli_x(0, controls=((1, 0),)), 2))
         with pytest.raises(ValueError):
             op.matrix[0] = 0
 
-    def test_gather_map_not_a_permutation_rejected(self):
-        for g in ([0, 0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2]):
-            with pytest.raises(NonUnitaryMatrixError):
-                GateOp(np.array(g), (0, 1))
-
     def test_gather_map_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            GateOp(np.arange(8), (0, 1))
+        # the table needs 2**r entries with r < k: at least one target holds the sum
+        for size, targets in ((8, (0, 1)), (4, (0, 1)), (3, (0, 1, 2)), (0, (0,))):
+            with pytest.raises(ValueError, match="length"):
+                GateOp(np.arange(size), targets)
 
     def test_one_dimensional_float_array_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -143,9 +156,10 @@ class TestGateOp:
 
     def test_gather_map_dagger_inverts(self):
         rng = np.random.default_rng(6)
-        op = GateOp(rng.permutation(16), (0, 1, 2, 3), controls=((4, 0),))
+        op = GateOp(rng.integers(-20, 20, size=4), (0, 1, 2, 3), controls=((4, 0),))
         inv = op.dagger()
         assert inv.controls == op.controls and inv.targets == op.targets
+        assert np.array_equal((op.matrix + inv.matrix) % 4, np.zeros(4))
         assert np.array_equal(gate_matrix(op) @ gate_matrix(inv), np.eye(16))
 
     def test_block_gate_expands_to_block_diagonal(self):
@@ -217,13 +231,13 @@ class TestGateOp:
     def test_dagger_is_built_anew_unless_kept(self):
         # a per-call gate holds no inverse: it would keep both matrices alive
         rng = np.random.default_rng(11)
-        for gate in (random_unitary(rng, 4), rng.permutation(4), np.stack([np.eye(2)] * 2)):
+        for gate in (random_unitary(rng, 4), np.array([1]), np.stack([np.eye(2)] * 2)):
             op = GateOp(gate, (0, 1))
             assert op.dagger() is not op.dagger()
             inv = op.keep_inverse()
             assert op.dagger() is inv and inv.dagger() is op and op.keep_inverse() is inv
             if gate.ndim == 1:
-                assert np.array_equal(inv.matrix[gate], np.arange(4))
+                assert inv.matrix.tolist() == [3]
             else:
                 assert np.array_equal(inv.matrix, np.swapaxes(op.matrix.conj(), -1, -2))
             assert (inv.targets, inv.controls, inv.label) == (op.targets, op.controls, op.label)
@@ -231,7 +245,7 @@ class TestGateOp:
     def test_self_inverse_gate_keeps_itself(self):
         h = hadamard(0)
         assert h.keep_inverse() is h and h.dagger() is h
-        flip = GateOp(np.array([1, 0, 3, 2]), (0, 1))
+        flip = GateOp(np.array([0, 1]), (0, 1))
         assert flip.keep_inverse() is flip
 
     def test_stack_is_checked_once_and_wired_per_gate(self, monkeypatch):
@@ -306,8 +320,8 @@ class TestApply:
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_gather_map_matches_dense_operator(self):
-        # random permutations, controlled with mixed polarities, against
-        # the permutation matrix expanded by basis enumeration
+        # random table adds, controlled with mixed polarities, against the
+        # add's matrix expanded by basis enumeration
         rng = np.random.default_rng(43)
         for _ in range(40):
             q = int(rng.integers(1, 6))
@@ -316,11 +330,37 @@ class TestApply:
             targets = tuple(wires[:k])
             n_ctrl = int(rng.integers(0, len(wires[k:]) + 1))
             controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
-            op = GateOp(rng.permutation(1 << k), targets, controls)
+            op = GateOp(_random_table(rng, k), targets, controls)
             vec = random_state(rng, q)
             got = apply(StateVector(vec), op).amps
             want = dense_operator(op, q) @ vec
             assert np.max(np.abs(got - want)) < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_table_add_matches_its_definition(self, data):
+        # k >= 2 targets, r < k, entries negative and at or past 2**(k-r);
+        # the gate alone (keys) and after a dense gate (block), against the
+        # dense add built entry by entry, and undone by its dagger
+        k = data.draw(st.integers(2, 4), label="k")
+        r = data.draw(st.integers(0, k - 1), label="r")
+        mod = 1 << (k - r)
+        entries = st.integers(-3 * mod, 3 * mod)
+        table = data.draw(st.lists(entries, min_size=1 << r, max_size=1 << r), label="table")
+        q = data.draw(st.integers(k, k + 2), label="qubits")
+        wires = data.draw(st.permutations(range(q)))
+        n_ctrl = data.draw(st.integers(0, q - k))
+        controls = tuple((w, data.draw(st.integers(0, 1))) for w in wires[k : k + n_ctrl])
+        op = GateOp(np.array(table), tuple(wires[:k]), controls)
+        full = dense_operator(op, q)
+        vec = random_state(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), q)
+        h = hadamard(wires[-1])
+        assert np.max(np.abs(apply(StateVector(vec), op).amps - full @ vec)) < 1e-12
+        got = run(StateVector(vec), Circuit(q, [h, op])).amps
+        assert np.max(np.abs(got - full @ dense_operator(h, q) @ vec)) < 1e-12
+        assert np.array_equal(gate_matrix(op.dagger()) @ gate_matrix(op), np.eye(1 << k))
+        for ops in ([op, op.dagger()], [h, op, op.dagger(), h]):
+            assert np.max(np.abs(run(StateVector(vec), Circuit(q, ops)).amps - vec)) < 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(17)
@@ -353,8 +393,14 @@ def _store_unchecked(state, top, keys, block):
     state._block = np.asarray(block, dtype=np.complex128)
 
 
+def _random_table(rng, k):
+    """A table for an add on k targets: 2**r entries, r < k, anywhere in
+    [-2**k, 2**k)."""
+    return rng.integers(-(1 << k), 1 << k, size=1 << int(rng.integers(0, k)))
+
+
 def _random_op(rng, wires):
-    """A dense, permutation-map or block gate on 1-3 of ``wires``, controlled
+    """A dense, table-add or block gate on 1-3 of ``wires``, controlled
     with mixed polarities by some of the rest."""
     wires = [int(w) for w in rng.permutation(wires)]
     k = int(rng.integers(1, min(3, len(wires)) + 1))
@@ -364,7 +410,7 @@ def _random_op(rng, wires):
     if kind == 0:
         gate = random_unitary(rng, 1 << k)
     elif kind == 1:
-        gate = rng.permutation(1 << k)
+        gate = _random_table(rng, k)
     else:
         d = 1 << int(rng.integers(0, k + 1))
         gate = np.stack([random_unitary(rng, d) for _ in range((1 << k) // d)])
@@ -493,8 +539,8 @@ class TestLiveRowState:
                     assert np.array_equal(full1, full2)
 
     def test_circuits_match_dense_operator(self):
-        # dense, block and permutation-map gates together (every gate on the
-        # block), and circuits of permutation maps alone, on qubits inside the
+        # dense, block and table-add gates together (every gate on the
+        # block), and circuits of table adds alone, on qubits inside the
         # stored key, across the key and the block, and inside the block
         rng = np.random.default_rng(73)
         kinds = set()
@@ -510,7 +556,7 @@ class TestLiveRowState:
                     k = int(rng.integers(1, min(3, q) + 1))
                     n_ctrl = int(rng.integers(0, q - k + 1))
                     controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
-                    ops.append(GateOp(rng.permutation(1 << k), tuple(wires[:k]), controls))
+                    ops.append(GateOp(_random_table(rng, k), tuple(wires[:k]), controls))
                 hi = max(op.max_qubit() for op in ops)
                 lo = min(op.min_qubit() for op in ops)
                 kinds.add("key" if hi < s._top else "block" if lo >= s._top else "across")
@@ -531,7 +577,7 @@ class TestLiveRowState:
         rng = np.random.default_rng(83)
         dense_op = GateOp(random_unitary(rng, 4), (3, 5), controls=((4, 0),))
         block_op = GateOp(np.stack([random_unitary(rng, 2) for _ in range(2)]), (4, 3))
-        map_op = GateOp(rng.permutation(8), (5, 3, 4))
+        map_op = GateOp(np.array([1, -2]), (5, 3, 4))
         for _ in range(2):
             for q in (6, 7, 8):
                 for lo in range(3):
@@ -541,7 +587,7 @@ class TestLiveRowState:
                         circ = Circuit(q, [hadamard(lo), op])
                         want = dense_operator(op, q) @ dense_operator(circ.ops[0], q) @ s.amps
                         assert np.max(np.abs(run(s, circ).amps - want)) < 1e-12
-                    # the permutation map alone permutes the keys of a state stored
+                    # the table add alone permutes the keys of a state stored
                     # at qubit 6, 7 or 8
                     top = min(6 + lo, q)
                     keys, block = StateVector(random_state(rng, q)).rows(top)
@@ -552,12 +598,12 @@ class TestLiveRowState:
         assert {k for k in map_op._plans if k[0] == "keys"} == {("keys", t) for t in (6, 7, 8)}
 
     def test_key_permutation_moves_no_amplitude_value(self):
-        # a permutation map inside the key only relabels rows
+        # a table add inside the key only relabels rows
         rng = np.random.default_rng(79)
         s, dense = _sparse_state(rng, 6)
         while s._top < 3:
             s, dense = _sparse_state(rng, 6)
-        op = GateOp(rng.permutation(4), (s._top - 1, 0), controls=((1, 0),))
+        op = GateOp(np.array([1, 0]), (s._top - 1, 0), controls=((1, 0),))
         got = apply(s, op)
         _, block = s.rows(s._top)
         _, new_block = got.rows(s._top)
@@ -601,8 +647,8 @@ class TestLiveRowState:
             for circuit in (
                 Circuit(4, [hadamard(3)]),
                 Circuit(4, [hadamard(0), hadamard(2)]),
-                Circuit(4, [GateOp([1, 0], (0,))]),
-                Circuit(4, [GateOp([2, 0, 3, 1], (3, 2))]),
+                Circuit(4, [GateOp([1], (0,))]),
+                Circuit(4, [GateOp([1, 0], (3, 2))]),
             ):
                 with pytest.raises(ValueError, match="finite"):
                     run(s, circuit)
@@ -622,7 +668,7 @@ class TestCircuit:
             Circuit(2).append(pauli_x(5))
 
     def test_run_matches_apply_and_dense_product(self):
-        # random circuits mixing dense and permutation-map gates, targets in
+        # random circuits mixing dense and table-add gates, targets in
         # unsorted order, controls of both polarities between the targets
         rng = np.random.default_rng(47)
         interleaved = 0
@@ -638,7 +684,7 @@ class TestCircuit:
                 if rng.integers(0, 2):
                     gate = random_unitary(rng, 1 << k)
                 else:
-                    gate = rng.permutation(1 << k)
+                    gate = _random_table(rng, k)
                 circuit.append(GateOp(gate, targets, controls))
                 interleaved += any(min(targets) < c < max(targets) for c, _ in controls)
             vec = random_state(rng, q)
@@ -682,7 +728,7 @@ class TestCircuit:
         c1 = Circuit(3, [GateOp(random_unitary(rng, 2), (i,)) for i in range(3)])
         c2 = Circuit(3, [cphase(0.4, 0, 2), hadamard(1)])
         vec = random_state(rng, 3)
-        joint = run(StateVector(vec), c1 + c2)
+        joint = run(StateVector(vec), Circuit(3, c1.ops + c2.ops))
         stepped = run(run(StateVector(vec), c1), c2)
         assert np.array_equal(joint.amps, stepped.amps)
 
