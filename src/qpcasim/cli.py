@@ -23,7 +23,7 @@ from .pipeline import (
     QpcaConfig,
     run_qpca,
 )
-from .sim import ZeroProbabilityOutcome
+from .sim import ROUNDOFF, ZeroProbabilityOutcome
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -131,6 +131,12 @@ def _sig10(x: float) -> float:
     return float(f"{float(x):.10g}")
 
 
+def _floored(x: float) -> float:
+    """A computed amplitude, or 0.0 (never -0.0) below ``ROUNDOFF``, so the
+    round-off of one arithmetic order or another does not reach the output."""
+    return float(x) if abs(x) >= ROUNDOFF else 0.0
+
+
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -144,7 +150,7 @@ def _result_document(hin: HermitianInput, spec: RunSpec, result) -> dict:
         "mode": spec.mode,
         "kept_eigenvalues": [_sig10(v) for v in result.kept_eigenvalues],
         "success_probability": _sig10(result.success_prob),
-        "output_amplitudes": [_sig10(v) for v in result.output_amps],
+        "output_amplitudes": [_sig10(_floored(v)) for v in result.output_amps],
         "lambda_histogram": {
             str(k): _sig10(v) for k, v in sorted(result.lambda_histogram.items())
         },
@@ -164,7 +170,7 @@ def _result_document(hin: HermitianInput, spec: RunSpec, result) -> dict:
 def _plot_csv(result) -> str:
     lines = ["basis_index,probability"]
     for i, a in enumerate(result.output_amps):
-        lines.append(f"{i},{_sig10(float(a) ** 2):.10g}")
+        lines.append(f"{i},{_sig10(_floored(a) ** 2):.10g}")
     return "\n".join(lines) + "\n"
 
 

@@ -73,6 +73,7 @@ import numpy as np
 UNITARY_ATOL = 1e-10      # max |M^dag M - I| allowed for a gate matrix
 NORM_ATOL = 1e-9          # statevector norm drift tolerated after an operation
 MIN_OUTCOME_PROB = 1e-12  # below this a post-selection outcome counts as impossible
+ROUNDOFF = 1e-12          # round-off floor of a unit-norm state's amplitudes and probabilities
 
 
 class SimulationError(Exception):
@@ -566,15 +567,16 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, St
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     """Multinomial measurement counts over basis states; deterministic per seed.
 
-    The draw runs over the live amplitudes in ascending basis order.  An
-    amplitude left out has probability zero, and a zero-probability outcome
-    draws no random numbers, so the counts equal those of the draw over the
-    dense state whenever the two normalizing sums round alike.
+    The draw runs over the live amplitudes in ascending basis order, with
+    each probability rounded to a multiple of ``ROUNDOFF`` first.  A
+    zero-probability outcome draws no random numbers, so round-off amplitudes
+    and amplitudes left out draw none, and an ulp-level change of the state
+    cannot flip a count.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     keys, block = state._keys, state._block
-    p = (np.abs(block) ** 2).reshape(-1)
+    p = np.rint((np.abs(block) ** 2).reshape(-1) / ROUNDOFF)
     p = p / p.sum()
     counts = np.random.default_rng(seed).multinomial(shots, p)
     hit = np.flatnonzero(counts)

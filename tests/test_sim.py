@@ -23,6 +23,7 @@ from qpcasim import (
     sample,
     sim,
 )
+from qpcasim.sim import ROUNDOFF
 
 
 class TestStateVector:
@@ -628,8 +629,9 @@ class TestLiveRowState:
                 want = np.where(bits == outcome, dense, 0) / math.sqrt(mass)
                 assert abs(prob - mass) < 1e-12
                 assert np.max(np.abs(collapsed.amps - want)) < 1e-12
-            # the draw over live amplitudes is the dense multinomial
-            p = np.abs(s.amps) ** 2
+            # the draw over live amplitudes is the dense multinomial, both over
+            # probabilities rounded to multiples of ROUNDOFF
+            p = np.rint(np.abs(s.amps) ** 2 / ROUNDOFF)
             counts = np.random.default_rng(trial).multinomial(4096, p / p.sum())
             want = {int(i): int(counts[i]) for i in np.flatnonzero(counts)}
             assert sample(s, 4096, seed=trial) == want
