@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import Circuit, GateOp, hadamard
+from .sim import Circuit, GateOp, _check_unitary, hadamard
 
 # Largest |A - A^T| entry accepted from a matrix said to be symmetric, by
 # every entry point: the CLI parser, HermitianInput and PhaseEstimationSpec.
@@ -83,51 +82,23 @@ class PhaseEstimationSpec:
         return self._eigvals.copy()
 
 
-def _exp_matrices(spec: PhaseEstimationSpec, powers) -> np.ndarray:
-    """exp(2*pi*i * A * 2**p / 2**eig_bits) for each p in ``powers``, as one
-    (len(powers), dim, dim) stack from one batched product over the
-    eigendecomposition."""
-    weights = np.left_shift(1, np.asarray(powers, dtype=np.int64))[:, None]
-    phases = np.exp(2j * np.pi * spec._eigvals * weights / spec.scale)
-    return (spec._eigvecs * phases[:, None, :]) @ spec._eigvecs.T
-
-
 @functools.lru_cache
-def _register_gates(qubits: tuple[int, ...]) -> tuple[tuple[GateOp, ...], tuple[GateOp, ...]]:
+def _register_gates(qubits: tuple[int, ...]) -> tuple[tuple[GateOp, ...], GateOp]:
     """The gates that depend only on a register, wired onto ``qubits``: a
-    Hadamard per qubit, and the semiclassical QFT (Griffiths & Niu,
-    quant-ph/9511007) without its output bit reversal.
+    Hadamard per qubit, and the Fourier gate of the inverse QFT, the kernel
+    ``np.fft.fft`` along the register value with ``qubits[0]`` its most
+    significant bit.
 
-    Qubit i of the QFT gets one uniformly controlled single-qubit gate on
-    targets (i+1, ..., n-1, i): its block for the value c of qubits
-    i+1 .. n-1 is the Hadamard fused with every controlled phase those
-    qubits apply to qubit i, diag(1, e^(2 pi i c / 2**(n-i))) H.  The n
-    block stacks together hold 2**n - 1 2x2 matrices; applied in order they
-    are the Fourier transform followed by a reversal of the register's bits.
-
-    Built and checked once per register placement, each with its inverse
-    kept (H is its own), so phase estimation's inverse QFT is the kept
-    daggers and a circuit's ``inverse`` reuses them.  The circuit width is
-    not part of the key: a gate keeps a kernel plan per width it runs at.
+    Built once per register placement, each with its inverse kept (H is its
+    own, the inverse QFT's is the forward QFT), so a circuit's ``inverse``
+    reuses them.  The circuit width is not part of the key: a gate keeps a
+    kernel plan per width it runs at.
     """
-    n = len(qubits)
-    s = 1 / math.sqrt(2)
     h = hadamard(0)
-    hadamards = tuple(h.remap((q,)) for q in qubits)
-    qft = []
-    for i in range(n):
-        # block c, c spelled by qubits i+1 .. n-1, is diag(1, e^(i phi(c))) H
-        # with phi(c) = 2 pi c / 2**(n-i): the sum of the controlled phases
-        # 2 pi / 2**(j-i+1) of every qubit j > i that reads 1 in c
-        phases = np.exp(2j * math.pi * np.arange(1 << (n - 1 - i)) / (1 << (n - i)))
-        blocks = np.empty((phases.size, 2, 2), dtype=np.complex128)
-        blocks[:, 0, :] = s
-        blocks[:, 1, 0] = s * phases
-        blocks[:, 1, 1] = -s * phases
-        qft.append(GateOp(blocks, qubits[i + 1 :] + qubits[i : i + 1], label=f"QFT(qubit {i})"))
-    for op in hadamards + tuple(qft):
+    gates = tuple(h.remap((q,)) for q in qubits) + (GateOp(-1, qubits, label="inverse QFT"),)
+    for op in gates:
         op.keep_inverse()
-    return hadamards, tuple(qft)
+    return gates[:-1], gates[-1]
 
 
 def build_phase_estimation(
@@ -140,21 +111,19 @@ def build_phase_estimation(
 
     On input |0...0>|u_k> the circuit produces |lambda_k>|u_k> exactly when
     lambda_k is an integer in [0, 2**eig_bits); superpositions of eigenvectors
-    come out entangled with their eigenvalue register states.
+    come out entangled with their eigenvalue register states.  The register
+    reads lambda with ``lam_qubits[0]`` as its most significant bit.
 
-    The circuit has 3n gates for n = eig_bits: a Hadamard per register
-    qubit, one controlled exp(2 pi i A 2**i / 2**n) per register qubit i,
-    and the inverse of the QFT's n uniformly controlled gates, taken as
-    their kept daggers in reverse order.  Qubit i carries weight 2**i as a
-    control: that labelling absorbs the QFT's output bit reversal, so the
-    inverse QFT needs none, and the register still reads lambda with qubit
-    0 as its most significant bit.  As a unitary the circuit is textbook
-    phase estimation after a reversal of the register's bits, which leaves
-    |0...0> unchanged.  The Hadamards and the QFT gates depend only on the register; they are
-    built, checked and inverted once per register placement and shared, so
-    the circuit's ``inverse`` reuses them.  Each call builds only the n
-    controlled exponentials, from one batched product, checked together by
-    one unitarity test.
+    The circuit has n + 4 gates for n = eig_bits: a Hadamard per register
+    qubit; V^T on the targets, V the eigenvectors of A; one diagonal phase
+    gate on register and targets, a (2**(n+k), 1, 1) block stack whose entry
+    (b, k) is exp(2 pi i b lambda_k / 2**n); V; and the Fourier gate of the
+    inverse QFT on the register.  The middle three are sum_b |b><b| (x) U**b
+    with U = exp(2 pi i A / 2**n), the n controlled powers of textbook phase
+    estimation in one pass.  The Hadamards and the Fourier gate depend only
+    on the register; they are built once per register placement and shared.
+    Each call builds V^T and the phase gate, each checked once, and keeps
+    their inverses, so the circuit's ``inverse`` builds no gate.
     """
     lam_qubits = tuple(int(q) for q in lam_qubits)
     target_qubits = tuple(int(q) for q in target_qubits)
@@ -171,21 +140,13 @@ def build_phase_estimation(
     if num_qubits is None:
         num_qubits = max(lam_qubits + target_qubits) + 1
 
-    n = spec.eig_bits
-    hadamards, qft = _register_gates(lam_qubits)
-    # register qubit p controls power p.  The powers in descending order and
-    # the Hadamards in reverse make the same floating-point operations as the
-    # textbook order (qubit i controlling power n-1-i, then the reversal) on
-    # relabelled qubits, so the results agree with it bit for bit
-    powers = range(n - 1, -1, -1)
-    exps = GateOp.stack(
-        _exp_matrices(spec, powers),
-        target_qubits,
-        [((lam_qubits[p], 1),) for p in powers],
-        [f"c-exp(2pi.i.A.2^{p}/{spec.scale})" for p in powers],
-    )
-    inverse_qft = tuple(op.dagger() for op in reversed(qft))
-    return Circuit(num_qubits, hadamards[::-1] + exps + inverse_qft)
+    hadamards, fourier = _register_gates(lam_qubits)
+    to_eigenbasis = GateOp(spec._eigvecs.T, target_qubits, label="V^T")
+    phases = np.exp(2j * np.pi * np.outer(np.arange(spec.scale), spec._eigvals) / spec.scale)
+    powers = GateOp(phases.reshape(-1, 1, 1), lam_qubits + target_qubits, label="c-U^b")
+    from_eigenbasis = to_eigenbasis.keep_inverse()
+    powers.keep_inverse()
+    return Circuit(num_qubits, hadamards + (to_eigenbasis, powers, from_eigenbasis, fourier))
 
 
 @dataclass(eq=False)
@@ -208,6 +169,9 @@ def state_prep_tree(vector) -> StatePrepTree:
     m = v.size.bit_length() - 1
     if v.size < 2 or (1 << m) != v.size:
         raise ValueError(f"vector length {v.size} is not a power of two >= 2")
+    if not np.isfinite(v).all():
+        i = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValueError(f"vector entry {i} is {v[i]}, not a finite number")
     nrm = float(np.linalg.norm(v))
     if nrm < 1e-12:
         raise ValueError("cannot prepare the zero vector")
@@ -236,7 +200,8 @@ def build_state_prep(vector, qubits=None, num_qubits: int | None = None) -> Circ
     quant-ph/0407010): the level-l gate targets ``qubits[:l+1]`` and holds
     one 2x2 rotation block per value of the first l qubits, the path from
     the root.  Levels whose angles are all zero are dropped, so preparing a
-    basis state costs no gates.
+    basis state costs no gates.  The 2**m - 1 blocks of all levels are built
+    in one pass and checked by one unitarity test.
     """
     tree = state_prep_tree(vector)
     m = len(tree.level_angles)
@@ -249,11 +214,14 @@ def build_state_prep(vector, qubits=None, num_qubits: int | None = None) -> Circ
     if num_qubits is None:
         num_qubits = max(qubits) + 1
 
+    half = np.concatenate(tree.level_angles) / 2  # level l: blocks 2**l - 1 .. 2**(l+1) - 2
+    c, s = np.cos(half), np.sin(half)
+    blocks = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    _check_unitary(blocks)
     circ = Circuit(num_qubits)
     for level, thetas in enumerate(tree.level_angles):
-        if not np.any(thetas):
-            continue
-        c, s = np.cos(thetas / 2), np.sin(thetas / 2)
-        blocks = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
-        circ.append(GateOp(blocks, qubits[: level + 1], label=f"UCRy(level {level})"))
+        if np.any(thetas):
+            gate_blocks = blocks[(1 << level) - 1 : (2 << level) - 1]
+            label = f"UCRy(level {level})"
+            circ.append(GateOp._trusted(gate_blocks, qubits[: level + 1], (), label))
     return circ

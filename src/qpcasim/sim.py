@@ -41,20 +41,25 @@ transpose bringing its targets forward and the shapes, keyed by
 masks in a row key, keyed by top.  ``_permute_keys`` reads the target
 values through one bit matrix of the keys, so it makes a fixed number of
 numpy calls for any wiring.  Gates built once and shared (the Hadamards
-and the QFT gates of a register, one set per register placement) also keep
-their inverse (``GateOp.keep_inverse``), so ``dagger`` and
+and the Fourier gate of a register, one set per register placement) also
+keep their inverse (``GateOp.keep_inverse``), so ``dagger`` and
 ``Circuit.inverse`` return it instead of building it again.
 
-A gate on k target qubits holds one of three forms in ``GateOp.matrix``:
+A gate on k target qubits holds one of four forms in ``GateOp.matrix``:
 
 * a dense (2**k x 2**k) complex unitary M, applied as ``M @ amps``;
 * a (B, d, d) stack of unitary blocks with B * d = 2**k, the block-diagonal
   matrix diag(M_0, ..., M_{B-1}): the leading log2(B) targets select the
   block, which acts on the remaining targets.  A uniformly controlled
   rotation, one rotation per value of its control qubits, is one such gate;
-  state preparation emits one per level of its binary tree, and the QFT one
-  per qubit, each block a Hadamard fused with the controlled phases that
-  qubit receives;
+  state preparation emits one per level of its binary tree, and phase
+  estimation one diagonal of 1 x 1 blocks, a phase per register value and
+  eigenvector;
+* a sign s = 1 or -1 (a 0-d integer array), the unitary DFT with kernel
+  e^(s 2 pi i jk / 2**k), j and k read with targets[0] as the top bit,
+  applied as ``np.fft.ifft`` (s = 1) or ``np.fft.fft`` (s = -1) along the
+  targets, with ``norm="ortho"``; the inverse is -s.  Phase estimation's
+  inverse QFT is the gate of sign -1 on its register;
 * a length-2**r integer table T with r < k, the table-controlled add
   (c, lam) -> ((c + T[lam]) mod 2**(k-r), lam): the leading k - r targets
   hold c and the trailing r targets hold lam.  Any integer table is a
@@ -119,11 +124,10 @@ class StateVector:
             raise ValueError(f"rows of shape {block.shape} do not match {keys.size} keys at qubit {top}")
         if keys.size and (keys[0] < 0 or keys[-1] >= 1 << top or np.any(keys[1:] <= keys[:-1])):
             raise ValueError("row keys are not ascending row indices")
-        if not np.all(np.isfinite(block)):
-            raise ValueError("state contains non-finite amplitudes")
-        nrm = float(np.linalg.norm(block))
-        if abs(nrm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {nrm!r} differs from 1 by more than {NORM_ATOL}")
+        nrm = float(np.linalg.norm(block))  # NaN or inf if any amplitude is
+        if not abs(nrm - 1.0) <= NORM_ATOL:
+            off = f"differs from 1 by more than {NORM_ATOL}"
+            raise ValueError(f"state norm {nrm!r} {off if math.isfinite(nrm) else 'is non-finite'}")
         keys.setflags(write=False)
         block.setflags(write=False)
         self.num_qubits = num_qubits
@@ -248,11 +252,13 @@ class GateOp:
 
     ``matrix`` is a dense 2**k x 2**k unitary; for a block-diagonal gate, a
     (B, d, d) stack of blocks with B * d = 2**k, selected by the leading
-    targets; or, for a table-controlled add, a length-2**r integer table T
+    targets; for a table-controlled add, a length-2**r integer table T
     with r < k, adding T[lam] of the trailing r targets into the leading
-    k - r modulo 2**(k-r) (see the module docstring).  A one-dimensional
-    integer array selects the table form; only its length is checked, and it
-    is stored reduced modulo 2**(k-r).  A dense matrix or each block is
+    k - r modulo 2**(k-r); or, for a Fourier gate, the sign 1 or -1 of the
+    DFT's exponent (see the module docstring).  A one-dimensional integer
+    array selects the table form; only its length is checked, and it is
+    stored reduced modulo 2**(k-r).  An integer scalar selects the Fourier
+    form; it must be 1 or -1.  A dense matrix or each block is
     checked to be unitary at construction.  ``dagger`` and ``remap`` reuse
     the checked matrix and check only the wiring.
 
@@ -260,7 +266,8 @@ class GateOp:
     on |1>, polarity 0 on |0>.  Bare qubit indices mean polarity 1.
 
     A gate keeps its kernel plans, one per split of the state it has been
-    applied at, and, after ``keep_inverse``, its inverse.
+    applied at, shared with every inverse it builds (same wiring, same
+    plans), and, after ``keep_inverse``, its inverse.
     """
 
     __slots__ = ("matrix", "targets", "controls", "label", "_lo", "_hi", "_inverse", "_plans")
@@ -269,7 +276,11 @@ class GateOp:
         targets, controls = _wiring(targets, controls)
         k = len(targets)
         m = np.asarray(matrix)
-        if m.ndim == 1 and m.dtype.kind in "iu":
+        if m.ndim == 0 and m.dtype.kind in "iu":
+            if m not in (-1, 1):
+                raise ValueError(f"Fourier sign {m} is not 1 or -1")
+            m = m.astype(np.intp)
+        elif m.ndim == 1 and m.dtype.kind in "iu":
             if m.size & (m.size - 1) or not 0 < m.size < 1 << k:
                 raise ValueError(f"table length {m.size} is not a power of two below 2**{k}")
             m = np.mod(m, (1 << k) // m.size).astype(np.intp, copy=False)
@@ -283,23 +294,6 @@ class GateOp:
                 raise ValueError(f"matrix shape {m.shape} does not match {k} target qubit(s)")
             _check_unitary(m)
         self._set(m, targets, controls, label)
-
-    @classmethod
-    def stack(cls, matrices, targets, controls, labels) -> tuple["GateOp", ...]:
-        """One dense gate per matrix of the (G, 2**k, 2**k) stack ``matrices``,
-        gate g acting on ``targets`` under ``controls[g]`` with ``labels[g]``.
-        The stack is checked with one vectorised unitarity test, the test G
-        constructions would each make."""
-        m = np.array(matrices, dtype=np.complex128)
-        size = 1 << len(targets)
-        if m.shape != (len(labels), size, size) or len(controls) != len(labels):
-            raise ValueError(
-                f"matrix stack of shape {m.shape} does not match {len(labels)} labels, "
-                f"{len(controls)} control sets and {len(targets)} target qubit(s)"
-            )
-        _check_unitary(m)
-        m.setflags(write=False)
-        return tuple(cls._trusted(g, targets, c, lab) for g, c, lab in zip(m, controls, labels))
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray, targets, controls, label) -> "GateOp":
@@ -321,11 +315,15 @@ class GateOp:
         self._plans = {}
 
     def _build_inverse(self) -> "GateOp":
-        if self.matrix.ndim == 1:
+        if self.matrix.ndim == 0:
+            inverse = -self.matrix
+        elif self.matrix.ndim == 1:
             inverse = np.mod(-self.matrix, (1 << len(self.targets)) // self.matrix.size)
         else:
             inverse = _conj_transpose(self.matrix)
-        return GateOp._trusted(inverse, self.targets, self.controls, self.label)
+        inverse = GateOp._trusted(inverse, self.targets, self.controls, self.label)
+        inverse._plans = self._plans
+        return inverse
 
     def dagger(self) -> "GateOp":
         """Inverse gate, same wiring: the conjugate transpose of a dense
@@ -338,9 +336,9 @@ class GateOp:
     def keep_inverse(self) -> "GateOp":
         """Build the inverse once and keep it: from now on ``dagger`` returns
         it, and its ``dagger`` returns this gate.  A self-inverse gate keeps
-        itself.  For gates built once and shared; a per-call gate that kept
-        its inverse would hold both matrices for as long as either lives.
-        Returns the inverse."""
+        itself.  For gates built once and shared, and for per-call gates
+        small next to the state: a gate that keeps its inverse holds both
+        matrices for as long as either lives.  Returns the inverse."""
         if self._inverse is None:
             inverse = self._build_inverse()
             if np.array_equal(inverse.matrix, self.matrix):
@@ -458,6 +456,8 @@ def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None
         src = sub.reshape(flat)
         c = np.arange(src.shape[0])[:, None]
         new = src[(c - gate) % src.shape[0], np.arange(gate.size)]
+    elif gate.ndim == 0:
+        new = (np.fft.ifft if gate > 0 else np.fft.fft)(sub.reshape(flat), axis=0, norm="ortho")
     else:
         new = gate @ sub.reshape(flat)
     sub[...] = new.reshape(sub.shape)

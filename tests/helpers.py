@@ -6,12 +6,12 @@ evidence, not tautology.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from qpcasim import Circuit, GateOp, circuit_unitary, hadamard, phase, ry, state_prep_tree
-from qpcasim.builders import _exp_matrices, _register_gates
 
 
 def cphase(theta: float, control: int, target: int) -> GateOp:
@@ -34,12 +34,41 @@ def bit_reversal(num_qubits: int) -> GateOp:
     return GateOp(m, tuple(range(num_qubits)), label="bit reversal")
 
 
+def exp_matrices(spec, powers) -> np.ndarray:
+    """exp(2*pi*i * A * 2**p / 2**eig_bits) for each p in ``powers``, as one
+    (len(powers), dim, dim) stack, from an eigendecomposition of its own."""
+    eigvals, eigvecs = np.linalg.eigh(spec.matrix)
+    weights = np.left_shift(1, np.asarray(powers, dtype=np.int64))[:, None]
+    phases = np.exp(2j * np.pi * eigvals * weights / spec.scale)
+    return (eigvecs * phases[:, None, :]) @ eigvecs.T
+
+
+@functools.lru_cache
+def semiclassical_qft_gates(num_qubits: int) -> tuple:
+    """The semiclassical QFT (Griffiths & Niu, quant-ph/9511007) without its
+    output bit reversal, as n uniformly controlled single-qubit gates, built
+    once per width.  Qubit i gets one gate on targets (i+1, ..., n-1, i):
+    its block for the value c of qubits i+1 .. n-1 is the Hadamard fused
+    with every controlled phase those qubits apply to qubit i,
+    diag(1, e^(2 pi i c / 2**(n-i))) H."""
+    n, s = num_qubits, 1 / math.sqrt(2)
+    gates = []
+    for i in range(n):
+        phases = np.exp(2j * math.pi * np.arange(1 << (n - 1 - i)) / (1 << (n - i)))
+        blocks = np.empty((phases.size, 2, 2), dtype=np.complex128)
+        blocks[:, 0, :] = s
+        blocks[:, 1, 0] = s * phases
+        blocks[:, 1, 1] = -s * phases
+        gates.append(GateOp(blocks, tuple(range(i + 1, n)) + (i,), label=f"QFT(qubit {i})"))
+    return tuple(gates)
+
+
 def build_qft(num_qubits: int) -> Circuit:
     """Fourier transform circuit whose matrix is F[j,k] = w^(jk)/sqrt(N):
-    the package's n uniformly controlled QFT gates, then a dense bit
-    reversal for n > 1.  The gates are shared; the circuit is new on each
-    call, so callers may extend it."""
-    circ = Circuit(num_qubits, _register_gates(tuple(range(num_qubits)))[1])
+    the n semiclassical QFT gates, then a dense bit reversal for n > 1.
+    The gates are shared; the circuit is new on each call, so callers may
+    extend it."""
+    circ = Circuit(num_qubits, semiclassical_qft_gates(num_qubits))
     if num_qubits > 1:
         circ.append(bit_reversal(num_qubits))
     return circ
@@ -61,9 +90,13 @@ def add_table_matrix(table, k: int) -> np.ndarray:
 def gate_matrix(op) -> np.ndarray:
     """The 2**k x 2**k matrix of a GateOp's targets; a (B, d, d) block stack
     becomes the block-diagonal matrix with block j on rows and columns
-    j*d .. j*d+d-1, a table T the matrix of its add (``add_table_matrix``)."""
+    j*d .. j*d+d-1, a table T the matrix of its add (``add_table_matrix``),
+    a Fourier sign s the DFT with kernel e^(s 2 pi i jk / 2**k)."""
     if op.matrix.ndim == 2:
         return op.matrix
+    if op.matrix.ndim == 0:
+        dft = dft_matrix(len(op.targets))
+        return dft if op.matrix > 0 else dft.conj()
     if op.matrix.ndim == 3:
         blocks, d, _ = op.matrix.shape
         out = np.zeros((blocks * d, blocks * d), dtype=complex)
@@ -147,7 +180,7 @@ def phase_estimation_reference(spec, lam_qubits, target_qubits, num_qubits=None)
     """Textbook phase estimation: a Hadamard on each register qubit, one
     controlled exp(2 pi i A 2**(n-1-i) / 2**n) per register qubit i, then the
     inverse of ``qft_reference`` on the register.  ``build_phase_estimation``
-    equals this circuit after a reversal of the register's bits."""
+    equals this circuit."""
     lam_qubits, target_qubits = tuple(lam_qubits), tuple(target_qubits)
     if num_qubits is None:
         num_qubits = max(lam_qubits + target_qubits) + 1
@@ -156,9 +189,18 @@ def phase_estimation_reference(spec, lam_qubits, target_qubits, num_qubits=None)
     for lq in lam_qubits:
         circ.append(hadamard(lq))
     for i, lq in enumerate(lam_qubits):
-        circ.append(GateOp(_exp_matrices(spec, (n - 1 - i,))[0], target_qubits, controls=((lq, 1),)))
+        circ.append(GateOp(exp_matrices(spec, (n - 1 - i,))[0], target_qubits, controls=((lq, 1),)))
     circ.extend(qft_reference(n).inverse().remap(lam_qubits, num_qubits))
     return circ
+
+
+def pe_powers(pe, n: int) -> np.ndarray:
+    """The (2**n, d, d) stack of V D_b V^T for every register value b, read
+    off phase estimation's V^T, phase gate and V, its ops[n:n+3]: the
+    unitary phase estimation applies to the targets when the register holds b."""
+    to_eigen, powers, from_eigen = (op.matrix for op in pe.ops[n : n + 3])
+    phases = powers.reshape(1 << n, -1)
+    return (from_eigen * phases[:, None, :]) @ to_eigen
 
 
 def filter_permutation_matrix(table) -> np.ndarray:

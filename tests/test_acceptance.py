@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import newton_reciprocal_fraction, random_integer_spectrum_matrix
+from helpers import newton_reciprocal_fraction, pe_powers, random_integer_spectrum_matrix
 from qpcasim import (
     AllComponentsFiltered,
     FilterParams,
@@ -168,11 +168,11 @@ def test_criterion_7():
 
 @report(8, "matrix exponentials of the diagonal input: diag(1,i,-1,-i) and diag(1,-1,1,-1)")
 def test_criterion_8():
-    # the controlled exponentials phase estimation applies, ops[n:2n], carry
-    # the powers n-1 .. 0
+    # phase estimation applies V D_b V^T to the data when the register holds
+    # b; the exponentials are b = 1 and b = 2
     spec = PhaseEstimationSpec(MATRIX_C, eig_bits=2)
     pe = build_phase_estimation(spec, (0, 1), (2, 3))
-    u1, u0 = (op.matrix for op in pe.ops[2:4])
+    u0, u1 = pe_powers(pe, 2)[1:3]
     assert np.max(np.abs(u0 - np.diag([1.0, 1.0j, -1.0, -1.0j]))) < 1e-10
     assert np.max(np.abs(u1 - np.diag([1.0, -1.0, 1.0, -1.0]))) < 1e-10
     # the top-left entry of both is exactly 1 (eigenvalue 0 phase)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import (
-    bit_reversal,
     build_qft,
     dft_matrix,
+    exp_matrices,
+    gate_matrix,
     matrix_with_spectrum,
+    pe_powers,
     phase_estimation_reference,
     qft_reference,
     random_state,
@@ -78,11 +80,11 @@ class TestQft:
 
 
 def pe_exponentials(spec):
-    """The controlled exponentials phase estimation applies, its ops[n:2n],
-    as matrices in the order of their powers 0 .. n-1."""
+    """The exponentials phase estimation applies, V D_b V^T for b = 2**p,
+    in the order of their powers p = 0 .. n-1."""
     n, m = spec.eig_bits, spec.num_target_qubits
     pe = build_phase_estimation(spec, range(n), range(n, n + m))
-    return [op.matrix for op in reversed(pe.ops[n : 2 * n])]
+    return list(pe_powers(pe, n)[1 << np.arange(n)])
 
 
 class TestMatrixExponential:
@@ -106,6 +108,20 @@ class TestMatrixExponential:
         spec = PhaseEstimationSpec(g + g.T, eig_bits=3)
         u0, _, u2 = pe_exponentials(spec)
         assert np.max(np.abs(np.linalg.matrix_power(u0, 4) - u2)) < 1e-9
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_every_power_matches_the_exponential(self):
+        # V D_b V^T is exp(2 pi i A b / 2**n) for every register value b,
+        # against powers of exp(2 pi i A / 2**n) from an eigh of its own
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 4):
+            for dim in (2, 4):
+                g = rng.standard_normal((dim, dim))
+                spec = PhaseEstimationSpec(g + g.T + 2 * np.eye(dim), eig_bits=n)
+                pe = build_phase_estimation(spec, range(n), range(n, n + dim.bit_length() - 1))
+                u = exp_matrices(spec, (0,))[0]
+                for b, got in enumerate(pe_powers(pe, n)):
+                    assert np.max(np.abs(got - np.linalg.matrix_power(u, b))) < 1e-10, (n, dim, b)
 
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -201,9 +217,9 @@ class TestPhaseEstimation:
         assert np.max(np.abs(out - vec)) < 1e-9
 
     def test_matches_textbook_reference(self):
-        # H, c-exp and the n-gate inverse QFT against the H / controlled-phase
-        # / SWAP reference after a reversal of the register's bits, as whole
-        # unitaries
+        # H, V^T, the phase gate, V and the Fourier gate against the H /
+        # controlled exponential / controlled-phase / SWAP reference, as whole
+        # unitaries, with no reversal of the register's bits
         rng = np.random.default_rng(29)
         for n in range(1, 6):
             for dim in (2, 4):
@@ -215,13 +231,12 @@ class TestPhaseEstimation:
                     lam, target = tuple(range(n)), tuple(range(n, n + m))
                     got = circuit_unitary(build_phase_estimation(spec, lam, target))
                     want = circuit_unitary(phase_estimation_reference(spec, lam, target))
-                    reverse = circuit_unitary(Circuit(n + m, [bit_reversal(n)]))
-                    assert np.max(np.abs(got - want @ reverse)) < 1e-12, (n, dim, lams)
+                    assert np.max(np.abs(got - want)) < 1e-12, (n, dim, lams)
 
     def test_checks_each_matrix_once(self, monkeypatch):
-        # the Hadamards and the inverse QFT are kept per register placement:
-        # the first build checks each distinct matrix once, the n controlled
-        # exponentials as one stack, and a later build checks that stack only
+        # the Hadamards and the Fourier gate are kept per register placement:
+        # the first build checks the one Hadamard, V^T and the phase stack, a
+        # later build V^T and the phase stack only, and the inverse nothing
         checked = []
         defect = sim._unitarity_defect
         monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checked.append(m) or defect(m))
@@ -230,43 +245,44 @@ class TestPhaseEstimation:
             spec = PhaseEstimationSpec(np.diag([1.0, 0.0]), n)
             checked.clear()
             pe = build_phase_estimation(spec, range(1, n + 1), (0,))
-            assert len(pe) == 3 * n
-            # one Hadamard, n QFT block stacks, the exponentials
-            assert len(checked) == 1 + n + 1
-            for i, a in enumerate(checked):
-                for b in checked[:i]:
-                    assert a.shape != b.shape or not np.array_equal(a, b)
-            exps = pe.ops[n : 2 * n]
-            assert np.array_equal(checked[-1], np.stack([op.matrix for op in exps]))
+            assert len(pe) == n + 4
+            assert [m.shape for m in checked] == [(2, 2), (2, 2), (2 << n, 1, 1)]
+            assert np.array_equal(checked[1], pe.ops[n].matrix)
+            assert np.array_equal(checked[2], pe.ops[n + 1].matrix)
             checked.clear()
             again = build_phase_estimation(spec, range(1, n + 1), (0,))
-            assert len(checked) == 1 and checked[0].shape == (n, 2, 2)
+            assert [m.shape for m in checked] == [(2, 2), (2 << n, 1, 1)]
+            checked.clear()
+            pe.inverse()
+            assert checked == []
             assert len(again) == len(pe)
             for i, (a, b) in enumerate(zip(pe.ops, again.ops)):
-                assert (a is b) == (not n <= i < 2 * n)
+                assert (a is b) == (not n <= i < n + 3)
                 assert np.array_equal(a.matrix, b.matrix)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_shared_gates_keep_their_inverses(self, n):
-        # the Hadamards and the inverse QFT come back from the cache with
-        # their inverses kept; the inverse QFT's inverse is the forward QFT
+        # every gate keeps its inverse: the Hadamards and the Fourier gate
+        # come back from the cache with theirs, the Fourier gate's being the
+        # forward QFT, and V^T's is V, so the inverse circuit builds no gate
         lam, q = tuple(range(2, n + 2)), n + 3
-        pe = build_phase_estimation(PhaseEstimationSpec(np.diag([1.0, 0.0]), n), lam, (0,), q)
-        inv = pe.inverse()
-        forward = build_qft(n).remap(lam, q).ops[:n]
-        shared = pe.ops[:n] + pe.ops[2 * n :]
-        assert len(shared) == len(forward) + n
-        for g in shared:
+        spec = PhaseEstimationSpec(np.diag([1.0, 0.0]), n)
+        pe = build_phase_estimation(spec, lam, (0,), q)
+        for g in pe.ops:
             d = g.dagger()
             assert d.dagger() is g and g.dagger() is d
             assert (d.targets, d.controls) == (g.targets, g.controls)
-            assert np.array_equal(d.matrix, np.swapaxes(g.matrix.conj(), -1, -2))
-        for g, f in zip(reversed(pe.ops[2 * n :]), forward):
-            assert np.array_equal(g.dagger().matrix, f.matrix) and g.dagger().targets == f.targets
-        # the inverse circuit reuses the kept inverses, and daggers only the exponentials
-        for a, b in zip(inv.ops, reversed(pe.ops)):
-            assert (a is b.dagger()) == (b in shared)
-            assert np.array_equal(a.matrix, b.dagger().matrix)
+        to_eigen, powers, from_eigen = pe.ops[n : n + 3]
+        assert to_eigen.dagger() is from_eigen
+        assert np.array_equal(powers.dagger().matrix, powers.matrix.conj())
+        fourier = pe.ops[-1]
+        assert fourier.targets == lam and fourier.controls == ()
+        assert np.max(np.abs(gate_matrix(fourier) - dft_matrix(n).conj())) < 1e-12
+        assert np.max(np.abs(gate_matrix(fourier.dagger()) - dft_matrix(n))) < 1e-12
+        assert all(a is b.dagger() for a, b in zip(pe.inverse().ops, reversed(pe.ops)))
+        again = build_phase_estimation(spec, lam, (0,), q)
+        shared = pe.ops[:n] + pe.ops[-1:]
+        assert all(a is b for a, b in zip(shared, again.ops[:n] + again.ops[-1:]))
 
     def test_register_size_mismatch(self, matrix_a):
         spec = PhaseEstimationSpec(matrix_a, eig_bits=2)
@@ -373,6 +389,27 @@ class TestStatePrep:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="power of two"):
             build_state_prep([1.0, 2.0, 3.0])
+
+    def test_rejects_non_finite_entry_by_index(self):
+        cases = (([np.nan, 1.0], "entry 0 is nan"), ([1.0, 0.0, -np.inf, 2.0], "entry 2 is -inf"))
+        for vec, entry in cases:
+            with pytest.raises(ValueError, match=entry):
+                state_prep_tree(vec)
+            with pytest.raises(ValueError, match=entry):
+                build_state_prep(vec)
+
+    def test_levels_checked_once(self, monkeypatch):
+        # the blocks of every level are checked by one unitarity test, and
+        # each level's gate holds its own slice of them
+        checked = []
+        defect = sim._unitarity_defect
+        monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checked.append(m) or defect(m))
+        vec = np.random.default_rng(59).standard_normal(16)
+        circ = build_state_prep(vec)
+        assert [m.shape for m in checked] == [(15, 2, 2)]
+        assert [op.matrix.shape for op in circ] == [(1, 2, 2), (2, 2, 2), (4, 2, 2), (8, 2, 2)]
+        assert np.array_equal(np.concatenate([op.matrix for op in circ]), checked[0])
+        assert not any(op.matrix.flags.writeable for op in circ)
 
     def test_explicit_qubit_placement(self):
         # prepare on the low half of a 4-qubit register, leaving others alone

@@ -1,10 +1,12 @@
 import qpcasim
 
 # builders no pipeline path ran; the filter's gate budget lives in
-# cost_proposed(n, m).per_block["filter"], the exponentials in
-# build_phase_estimation(...).ops[n:2n].  The DFT (build_qft), swap and
+# cost_proposed(n, m).per_block["filter"], the exponentials are
+# V D_b V^T of build_phase_estimation(...).ops[n:n+3].  The DFT (build_qft),
+# its semiclassical gates, the exponential stack (_exp_matrices), swap and
 # cphase are test references now (tests/helpers.py); circuits concatenate
-# as Circuit(n, a.ops + b.ops)
+# as Circuit(n, a.ops + b.ops), and state prep checks its blocks without
+# GateOp.stack
 DELETED = (
     "build_qft_adder",
     "count_filter_gates",
@@ -13,6 +15,8 @@ DELETED = (
     "swap",
     "cphase",
     "__add__",
+    "_exp_matrices",
+    "stack",
 )
 
 
@@ -27,4 +31,4 @@ def test_deleted_builders_are_gone():
         assert name not in qpcasim.__all__
         assert not hasattr(qpcasim, name)
         owners = [getattr(qpcasim, mod) for mod in ("sim", "builders", "filtering")]
-        assert not any(hasattr(owner, name) for owner in owners + [qpcasim.Circuit])
+        assert not any(hasattr(owner, name) for owner in owners + [qpcasim.Circuit, qpcasim.GateOp])

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cphase, dense_operator, gate_matrix, random_state, random_unitary, swap
+from helpers import (
+    cphase,
+    dense_operator,
+    dft_matrix,
+    gate_matrix,
+    random_state,
+    random_unitary,
+    swap,
+)
 from qpcasim import (
     Circuit,
     GateOp,
@@ -108,8 +116,8 @@ class TestGateOp:
         with pytest.raises(NonUnitaryMatrixError):
             GateOp(np.full((2, 2, 2), np.inf), (0, 1))
         with pytest.raises(NonUnitaryMatrixError):
-            GateOp.stack(np.stack([np.eye(2), np.full((2, 2), np.nan)]), (0,), [(), ()], ["a", "b"])
-        with pytest.raises(NonUnitaryMatrixError):
+            GateOp(np.array([1.0, np.nan]).reshape(2, 1, 1), (0,))
+        with pytest.raises(ValueError, match="entry 0 is nan"):
             build_state_prep([np.nan, 1.0])
 
     def test_large_permutation_accepted(self):
@@ -249,25 +257,12 @@ class TestGateOp:
         flip = GateOp(np.array([0, 1]), (0, 1))
         assert flip.keep_inverse() is flip
 
-    def test_stack_is_checked_once_and_wired_per_gate(self, monkeypatch):
-        checks = []
-        defect = sim._unitarity_defect
-        monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checks.append(m) or defect(m))
-        rng = np.random.default_rng(13)
-        mats = np.stack([random_unitary(rng, 4) for _ in range(3)])
-        ops = GateOp.stack(mats, (0, 1), [((2, 1),), ((3, 0),), ()], ["a", "b", "c"])
-        assert len(checks) == 1 and checks[0].shape == (3, 4, 4)
-        assert [op.controls for op in ops] == [((2, 1),), ((3, 0),), ()]
-        assert [op.label for op in ops] == ["a", "b", "c"]
-        for op, m in zip(ops, mats):
-            assert np.array_equal(op.matrix, m) and not op.matrix.flags.writeable
-        mats[1, 0, 0] += 1e-6
-        with pytest.raises(NonUnitaryMatrixError):
-            GateOp.stack(mats, (0, 1), [(), (), ()], ["a", "b", "c"])
-        with pytest.raises(ValueError, match="does not match"):
-            GateOp.stack(mats[:, :2, :2], (0, 1), [(), (), ()], ["a", "b", "c"])
-        with pytest.raises(ValueError, match="does not match"):
-            GateOp.stack(mats, (0, 1), [(), ()], ["a", "b", "c"])
+    def test_fourier_sign_is_one_or_minus_one(self):
+        for sign in (0, 2, -3):
+            with pytest.raises(ValueError, match="Fourier sign"):
+                GateOp(sign, (0, 1))
+        op = GateOp(-1, (0, 1))
+        assert op.matrix == -1 and op.dagger().matrix == 1 and op.matrix.nbytes > 0
 
 
 class TestApply:
@@ -362,6 +357,28 @@ class TestApply:
         assert np.array_equal(gate_matrix(op.dagger()) @ gate_matrix(op), np.eye(1 << k))
         for ops in ([op, op.dagger()], [h, op, op.dagger(), h]):
             assert np.max(np.abs(run(StateVector(vec), Circuit(q, ops)).amps - vec)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fourier_gate_matches_the_dft(self, data):
+        # k = 1-6 targets on shuffled wires, with and without controls: the
+        # gate is the unitary DFT with kernel e^(-2 pi i jk / 2**k), targets[0]
+        # the top bit of j and k, and its dagger the forward DFT, against the
+        # DFT written out element by element; alone and after a dense gate
+        k = data.draw(st.integers(1, 6), label="k")
+        q = data.draw(st.integers(k, k + 2), label="qubits")
+        wires = data.draw(st.permutations(range(q)))
+        n_ctrl = data.draw(st.integers(0, q - k))
+        controls = tuple((w, data.draw(st.integers(0, 1))) for w in wires[k : k + n_ctrl])
+        op = GateOp(-1, tuple(wires[:k]), controls)
+        vec = random_state(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), q)
+        h = hadamard(wires[-1])
+        for gate, dft in ((op, dft_matrix(k).conj()), (op.dagger(), dft_matrix(k))):
+            full = dense_operator(GateOp(dft, gate.targets, gate.controls), q)
+            assert np.max(np.abs(apply(StateVector(vec), gate).amps - full @ vec)) < 1e-12
+            got = run(StateVector(vec), Circuit(q, [h, gate])).amps
+            assert np.max(np.abs(got - full @ dense_operator(h, q) @ vec)) < 1e-12
+        assert np.max(np.abs(run(StateVector(vec), Circuit(q, [op, op.dagger()])).amps - vec)) < 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(17)
@@ -597,6 +614,13 @@ class TestLiveRowState:
                     assert np.max(np.abs(apply(s, map_op).amps - want)) < 1e-12
         assert set(dense_op._plans) == {("rows", q, lo) for q in (6, 7, 8) for lo in range(3)}
         assert {k for k in map_op._plans if k[0] == "keys"} == {("keys", t) for t in (6, 7, 8)}
+        # an inverse shares the plans of its gate, and they hold for it too
+        for op in (dense_op, block_op, map_op):
+            inv = op.dagger()
+            assert inv._plans is op._plans
+            for q in (6, 7, 8):
+                s = StateVector(random_state(rng, q))
+                assert np.max(np.abs(run(s, Circuit(q, [op, inv])).amps - s.amps)) < 1e-12
 
     def test_key_permutation_moves_no_amplitude_value(self):
         # a table add inside the key only relabels rows
