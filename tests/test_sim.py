@@ -378,7 +378,8 @@ class TestApply:
             assert np.max(np.abs(apply(StateVector(vec), gate).amps - full @ vec)) < 1e-12
             got = run(StateVector(vec), Circuit(q, [h, gate])).amps
             assert np.max(np.abs(got - full @ dense_operator(h, q) @ vec)) < 1e-12
-        assert np.max(np.abs(run(StateVector(vec), Circuit(q, [op, op.dagger()])).amps - vec)) < 1e-12
+        back = run(StateVector(vec), Circuit(q, [op, op.dagger()])).amps
+        assert np.max(np.abs(back - vec)) < 1e-12
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(17)
