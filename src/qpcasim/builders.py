@@ -89,16 +89,12 @@ def _register_gates(qubits: tuple[int, ...]) -> tuple[tuple[GateOp, ...], GateOp
     ``np.fft.fft`` along the register value with ``qubits[0]`` its most
     significant bit.
 
-    Built once per register placement, each with its inverse kept (H is its
-    own, the inverse QFT's is the forward QFT), so a circuit's ``inverse``
-    reuses them.  The circuit width is not part of the key: a gate keeps a
-    kernel plan per width it runs at.
+    Built once per register placement and shared, so each is checked once
+    and, as a gate keeps the inverse ``dagger`` builds, inverted once.  The
+    circuit width is not part of the key: kernel plans are cached per width.
     """
     h = hadamard(0)
-    gates = tuple(h.remap((q,)) for q in qubits) + (GateOp(-1, qubits, label="inverse QFT"),)
-    for op in gates:
-        op.keep_inverse()
-    return gates[:-1], gates[-1]
+    return tuple(h.remap((q,)) for q in qubits), GateOp(-1, qubits, label="inverse QFT")
 
 
 def build_phase_estimation(
@@ -122,8 +118,8 @@ def build_phase_estimation(
     with U = exp(2 pi i A / 2**n), the n controlled powers of textbook phase
     estimation in one pass.  The Hadamards and the Fourier gate depend only
     on the register; they are built once per register placement and shared.
-    Each call builds V^T and the phase gate, each checked once, and keeps
-    their inverses, so the circuit's ``inverse`` builds no gate.
+    Each call builds and checks V^T and the phase gate; V is V^T's
+    ``dagger``, so a warm call's ``inverse`` builds only the phase gate's.
     """
     lam_qubits = tuple(int(q) for q in lam_qubits)
     target_qubits = tuple(int(q) for q in target_qubits)
@@ -144,9 +140,7 @@ def build_phase_estimation(
     to_eigenbasis = GateOp(spec._eigvecs.T, target_qubits, label="V^T")
     phases = np.exp(2j * np.pi * np.outer(np.arange(spec.scale), spec._eigvals) / spec.scale)
     powers = GateOp(phases.reshape(-1, 1, 1), lam_qubits + target_qubits, label="c-U^b")
-    from_eigenbasis = to_eigenbasis.keep_inverse()
-    powers.keep_inverse()
-    return Circuit(num_qubits, hadamards + (to_eigenbasis, powers, from_eigenbasis, fourier))
+    return Circuit(num_qubits, hadamards + (to_eigenbasis, powers, to_eigenbasis.dagger(), fourier))
 
 
 @dataclass(eq=False)

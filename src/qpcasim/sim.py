@@ -16,16 +16,16 @@ ascending (basis) order, the rows that may hold a nonzero amplitude, and
 ``block`` holds those rows; every other row is exactly zero.  Memory and the
 finiteness and norm checks therefore cost O(live amplitudes), not O(2**Q).
 
-* ``run`` re-keys the state to its circuit's ``top``, the lowest qubit any
-  gate touches.  Going coarser merges rows; going finer drops sub-rows that
-  are exactly zero (an exact test, so a row holding NaN stays live).  A
-  circuit whose gates leave qubits 0 .. top-1 untouched acts as I (x) U on
-  the rows, so a zero row stays zero, and every gate is applied to the
-  block alone through ``_apply_into``.
-* A circuit of table adds only (the eigenvalue filter, the ancilla flip)
-  instead moves every qubit it touches into the key and maps the keys:
-  O(live rows) of index arithmetic, no arithmetic on amplitudes.  The block's
-  rows are reordered only to keep the keys ascending.
+* ``run`` takes its circuit in runs of gates of one kind.  It re-keys the
+  state to a run's ``top``, the lowest qubit the run touches.  Going coarser
+  merges rows; going finer drops sub-rows that are exactly zero (an exact
+  test, so a row holding NaN stays live).  Gates that leave qubits 0 ..
+  top-1 untouched act as I (x) U on the rows, so a zero row stays zero, and
+  each gate is applied to the block alone through ``_apply_into``.
+* A run of table adds (the eigenvalue filter, the ancilla flip) instead
+  moves every qubit it touches into the key and maps the keys: O(live rows)
+  of index arithmetic, no arithmetic on amplitudes.  The block's rows are
+  reordered only to keep the keys ascending.
 * ``post_select``, ``probabilities`` and ``sample`` read the live rows only;
   ``amps`` builds the dense array on demand, for tests and small states.
 
@@ -33,17 +33,17 @@ In the pipeline, phase estimation touches only the lambda register and the
 row half of the data register while the ancilla and y register hold one or
 two values, so every stage works on one or two times 2**(n+m) amplitudes.
 
-Fixed cost per gate.  At those sizes a gate costs mostly its set-up, so a
-gate computes its kernel plan once per split and keeps it
-(``GateOp._plans``): for ``_apply_into`` the index fixing its controls, the
-transpose bringing its targets forward and the shapes, keyed by
-(num_qubits, top); for ``_permute_keys`` its bit positions and control
-masks in a row key, keyed by top.  ``_permute_keys`` reads the target
-values through one bit matrix of the keys, so it makes a fixed number of
-numpy calls for any wiring.  Gates built once and shared (the Hadamards
-and the Fourier gate of a register, one set per register placement) also
-keep their inverse (``GateOp.keep_inverse``), so ``dagger`` and
-``Circuit.inverse`` return it instead of building it again.
+Fixed cost per gate.  At those sizes a gate costs mostly its set-up.  A
+kernel plan depends only on a gate's wiring and the split, so it is a cached
+function of them: ``_rows_plan`` gives ``_apply_into`` the index fixing the
+controls, the transpose bringing the targets forward and the shapes;
+``_keys_plan`` gives ``_permute_keys`` the targets' bit positions and the
+control masks in a row key.  Gates built anew on each call, and every
+inverse, share the plan of the first gate with their wiring.
+``_permute_keys`` reads the target values through one bit matrix of the
+keys, so it makes a fixed number of numpy calls for any wiring.  A gate
+builds its inverse on the first ``dagger`` call and keeps it, so a shared
+gate (the Hadamards and the Fourier gate of a register) is inverted once.
 
 A gate on k target qubits holds one of four forms in ``GateOp.matrix``:
 
@@ -70,6 +70,8 @@ A gate on k target qubits holds one of four forms in ``GateOp.matrix``:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import Iterable, Sequence
 
@@ -265,12 +267,11 @@ class GateOp:
     ``controls`` is a sequence of (qubit, polarity) pairs; polarity 1 fires
     on |1>, polarity 0 on |0>.  Bare qubit indices mean polarity 1.
 
-    A gate keeps its kernel plans, one per split of the state it has been
-    applied at, shared with every inverse it builds (same wiring, same
-    plans), and, after ``keep_inverse``, its inverse.
+    Kernel plans are cached by wiring, not kept on the gate; a gate keeps
+    only the inverse its first ``dagger`` builds.
     """
 
-    __slots__ = ("matrix", "targets", "controls", "label", "_lo", "_hi", "_inverse", "_plans")
+    __slots__ = ("matrix", "targets", "controls", "label", "_lo", "_hi", "_inverse")
 
     def __init__(self, matrix, targets, controls=(), label: str | None = None):
         targets, controls = _wiring(targets, controls)
@@ -312,38 +313,22 @@ class GateOp:
         touched = targets + tuple(q for q, _ in controls)
         self._lo, self._hi = min(touched), max(touched)
         self._inverse = None
-        self._plans = {}
-
-    def _build_inverse(self) -> "GateOp":
-        if self.matrix.ndim == 0:
-            inverse = -self.matrix
-        elif self.matrix.ndim == 1:
-            inverse = np.mod(-self.matrix, (1 << len(self.targets)) // self.matrix.size)
-        else:
-            inverse = _conj_transpose(self.matrix)
-        inverse = GateOp._trusted(inverse, self.targets, self.controls, self.label)
-        inverse._plans = self._plans
-        return inverse
 
     def dagger(self) -> "GateOp":
         """Inverse gate, same wiring: the conjugate transpose of a dense
-        matrix or of each block, the add of -T for a table T.  Built
-        anew on each call, unless the gate keeps its inverse."""
-        if self._inverse is not None:
-            return self._inverse
-        return self._build_inverse()
-
-    def keep_inverse(self) -> "GateOp":
-        """Build the inverse once and keep it: from now on ``dagger`` returns
-        it, and its ``dagger`` returns this gate.  A self-inverse gate keeps
-        itself.  For gates built once and shared, and for per-call gates
-        small next to the state: a gate that keeps its inverse holds both
-        matrices for as long as either lives.  Returns the inverse."""
+        matrix or of each block, the add of -T for a table T, the Fourier
+        gate of the opposite sign.  Built on the first call and kept; the
+        inverse's ``dagger`` returns this gate."""
         if self._inverse is None:
-            inverse = self._build_inverse()
-            if np.array_equal(inverse.matrix, self.matrix):
-                inverse = self
-            self._inverse, inverse._inverse = inverse, self
+            m = self.matrix
+            if m.ndim == 0:
+                inverse = -m
+            elif m.ndim == 1:
+                inverse = np.mod(-m, (1 << len(self.targets)) // m.size)
+            else:
+                inverse = _conj_transpose(m)
+            self._inverse = GateOp._trusted(inverse, self.targets, self.controls, self.label)
+            self._inverse._inverse = self
         return self._inverse
 
     def remap(self, qubit_map: Sequence[int]) -> "GateOp":
@@ -412,34 +397,28 @@ class Circuit:
         return iter(self._ops)
 
 
-def _rows_plan(op: GateOp, num_qubits: int, top: int) -> tuple:
-    """How ``_apply_into`` views a block for ``op``, computed once per gate and
-    split and kept on the gate: the per-qubit shape of the rows, the index
-    fixing the controls, the transpose moving the targets to the front, and
-    the shape the gate multiplies."""
-    key = ("rows", num_qubits, top)
-    plan = op._plans.get(key)
-    if plan is None:
-        index = [slice(None)] * (num_qubits - top + 1)
-        for cq, pol in op.controls:
-            index[cq - top + 1] = pol
-        # axis 0 is the row; each fixed control before a target removes one axis ahead of it
-        axes = [t - top + 1 - sum(cq < t for cq, _ in op.controls) for t in op.targets]
-        ndim = num_qubits - top + 1 - len(op.controls)
-        order = tuple(axes + [a for a in range(ndim) if a not in axes])
-        gate = op.matrix
-        if gate.ndim == 3:  # (block, row in block, rest)
-            flat = gate.shape[:2] + (-1,)
-        elif gate.ndim == 1:  # (c, lam, rest)
-            flat = ((1 << len(axes)) // gate.size, gate.size, -1)
-        else:
-            flat = (1 << len(axes), -1)
-        plan = op._plans[key] = ((-1,) + (2,) * (num_qubits - top), tuple(index), order, flat)
-    return plan
+@functools.cache
+def _rows_plan(targets, controls, matrix_shape, num_qubits: int, top: int) -> tuple:
+    """How ``_apply_into`` views a block for a gate of this wiring and matrix
+    shape at this split: the per-qubit shape of the rows, the index fixing
+    the controls, the transpose moving the targets to the front, and the
+    shape the gate multiplies."""
+    index = [slice(None)] * (num_qubits - top + 1)
+    for cq, pol in controls:
+        index[cq - top + 1] = pol
+    # axis 0 is the row; each fixed control before a target removes one axis ahead of it
+    axes = [t - top + 1 - sum(cq < t for cq, _ in controls) for t in targets]
+    ndim = num_qubits - top + 1 - len(controls)
+    order = tuple(axes + [a for a in range(ndim) if a not in axes])
+    if len(matrix_shape) == 3:  # (block, row in block, rest)
+        flat = matrix_shape[:2] + (-1,)
+    else:
+        flat = (1 << len(axes), -1)
+    return (-1,) + (2,) * (num_qubits - top), tuple(index), order, flat
 
 
 def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None:
-    """Apply ``op`` in place to every row of ``rows``.
+    """Apply ``op``, not a table add, in place to every row of ``rows``.
 
     ``rows`` is a writable (R, 2**(num_qubits - top)) complex128 array whose
     columns index qubits top .. num_qubits-1; ``op`` touches none of the
@@ -448,37 +427,30 @@ def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None
     controlled subspace is copied, once, into the (2**k, rest) block the
     gate acts on.
     """
-    shape, index, order, flat = _rows_plan(op, num_qubits, top)
-    sub = rows.reshape(shape)[index].transpose(order)
     gate = op.matrix
-    if gate.ndim == 1:
-        # the amplitude at (c, lam) moves to (c + T[lam], lam)
-        src = sub.reshape(flat)
-        c = np.arange(src.shape[0])[:, None]
-        new = src[(c - gate) % src.shape[0], np.arange(gate.size)]
-    elif gate.ndim == 0:
+    shape, index, order, flat = _rows_plan(op.targets, op.controls, gate.shape, num_qubits, top)
+    sub = rows.reshape(shape)[index].transpose(order)
+    if gate.ndim == 0:
         new = (np.fft.ifft if gate > 0 else np.fft.fft)(sub.reshape(flat), axis=0, norm="ortho")
     else:
         new = gate @ sub.reshape(flat)
     sub[...] = new.reshape(sub.shape)
 
 
-def _keys_plan(op: GateOp, top: int) -> tuple:
-    """How ``_permute_keys`` reads and writes ``op``'s qubits in a row key,
-    computed once per gate and ``top`` and kept on the gate: the targets'
-    bit positions, their weights in the target value, their bits in the key,
-    the mask that clears them, and the mask and value the controls must
-    read."""
-    key = ("keys", top)
-    plan = op._plans.get(key)
-    if plan is None:
-        shifts = top - 1 - np.array(op.targets, dtype=np.intp)
-        weights = 1 << np.arange(len(op.targets) - 1, -1, -1, dtype=np.intp)
-        fire_mask = sum(1 << (top - 1 - q) for q, _ in op.controls)
-        fire_value = sum(pol << (top - 1 - q) for q, pol in op.controls)
-        places = 1 << shifts
-        plan = op._plans[key] = (shifts, weights, places, ~int(places.sum()), fire_mask, fire_value)
-    return plan
+@functools.cache
+def _keys_plan(targets, controls, top: int) -> tuple:
+    """How ``_permute_keys`` reads and writes a gate of this wiring in a row
+    key split at ``top``: the targets' bit positions, their weights in the
+    target value, their bits in the key, the mask that clears them, and the
+    mask and value the controls must read.  The arrays are read-only."""
+    shifts = top - 1 - np.array(targets, dtype=np.intp)
+    weights = 1 << np.arange(len(targets) - 1, -1, -1, dtype=np.intp)
+    places = 1 << shifts
+    for a in (shifts, weights, places):
+        a.setflags(write=False)
+    fire_mask = sum(1 << (top - 1 - q) for q, _ in controls)
+    fire_value = sum(pol << (top - 1 - q) for q, pol in controls)
+    return shifts, weights, places, ~int(places.sum()), fire_mask, fire_value
 
 
 def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
@@ -487,7 +459,7 @@ def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
     c * 2**r + lam to (c + T[lam]) * 2**r + lam, modulo 2**k.  O(len(keys))
     in a fixed number of numpy calls, through the (len(keys), k) matrix of
     the target bits; no amplitude moves."""
-    shifts, weights, places, clear, fire_mask, fire_value = _keys_plan(op, top)
+    shifts, weights, places, clear, fire_mask, fire_value = _keys_plan(op.targets, op.controls, top)
     table = op.matrix
     value = ((keys[:, None] >> shifts) & 1) @ weights
     # the carry out of the k target bits is dropped below: the sum is mod 2**(k-r)
@@ -499,27 +471,31 @@ def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
 
 
 def _evolve(state: StateVector, ops: Sequence[GateOp]) -> StateVector:
-    """A new state holding ``ops`` applied in order to ``state``.
+    """The state after ``ops``, applied in order to ``state``.
 
-    A circuit of table adds only moves every qubit it touches into the key
-    and maps the keys; any other circuit is re-keyed to its lowest
-    qubit and applied to the block.  ``state`` is never written.
+    The gates go in runs of one kind.  A run of table adds moves every
+    qubit it touches into the key and maps the keys; any other run is
+    re-keyed to its lowest qubit and applied to the block.  ``state`` is
+    never written.
     """
     q = state.num_qubits
-    if all(op.matrix.ndim == 1 for op in ops):
-        top = max([state._top] + [op.max_qubit() + 1 for op in ops])
-        keys, block = state.rows(top)
-        for op in ops:
-            keys = _permute_keys(keys, top, op)
-        if np.any(keys[1:] < keys[:-1]):
-            order = np.argsort(keys)
-            keys, block = keys[order], block[order]
-        return StateVector._owned(q, top, keys, block)
-    top = min(op.min_qubit() for op in ops)
-    keys, block = state._rekey(top)
-    for op in ops:
-        _apply_into(block, q, top, op)
-    return StateVector._owned(q, top, keys, block)
+    for table_adds, run_ops in itertools.groupby(ops, lambda op: op.matrix.ndim == 1):
+        run_ops = list(run_ops)
+        if table_adds:
+            top = max([state._top] + [op.max_qubit() + 1 for op in run_ops])
+            keys, block = state.rows(top)
+            for op in run_ops:
+                keys = _permute_keys(keys, top, op)
+            if np.any(keys[1:] < keys[:-1]):
+                order = np.argsort(keys)
+                keys, block = keys[order], block[order]
+        else:
+            top = min(op.min_qubit() for op in run_ops)
+            keys, block = state._rekey(top)
+            for op in run_ops:
+                _apply_into(block, q, top, op)
+        state = StateVector._owned(q, top, keys, block)
+    return state
 
 
 def apply(state: StateVector, op: GateOp) -> StateVector:
@@ -558,7 +534,7 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, St
     prob = float(np.sum(np.abs(kept) ** 2))
     if prob < MIN_OUTCOME_PROB:
         raise ZeroProbabilityOutcome(
-            f"outcome {outcome} on qubit {qubit} has probability {prob:.3e}"
+            f"outcome {outcome} on qubit {qubit} has probability below {MIN_OUTCOME_PROB:g}"
         )
     kept /= math.sqrt(prob)
     return prob, StateVector._owned(state.num_qubits, top, keys[hit], kept)

@@ -6,7 +6,8 @@ import qpcasim
 # its semiclassical gates, the exponential stack (_exp_matrices), swap and
 # cphase are test references now (tests/helpers.py); circuits concatenate
 # as Circuit(n, a.ops + b.ops), and state prep checks its blocks without
-# GateOp.stack
+# GateOp.stack.  A gate keeps the inverse its first dagger builds, and
+# kernel plans are cached by wiring, not kept on the gate
 DELETED = (
     "build_qft_adder",
     "count_filter_gates",
@@ -17,6 +18,8 @@ DELETED = (
     "__add__",
     "_exp_matrices",
     "stack",
+    "keep_inverse",
+    "_plans",
 )
 
 

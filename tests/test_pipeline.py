@@ -190,9 +190,9 @@ class TestAncillaFlip:
         got = apply(apply(StateVector(vec), gate), gate)
         assert np.max(np.abs(got.amps - vec)) < 1e-12
 
-    def test_keeps_itself_as_inverse(self):
+    def test_dagger_has_its_table(self):
         gate = ancilla_flip_gate(RegisterLayout(eig_bits=3, data_qubits=2))
-        assert gate.keep_inverse() is gate and gate.dagger() is gate
+        assert np.array_equal(gate.dagger().matrix, gate.matrix)
 
 
 def pipeline_before_measurement(hin, tau, n_bits):

@@ -237,25 +237,27 @@ class TestGateOp:
         op = pauli_x(1, controls=(0,))
         assert op.controls == ((0, 1),)
 
-    def test_dagger_is_built_anew_unless_kept(self):
-        # a per-call gate holds no inverse: it would keep both matrices alive
+    def test_dagger_is_built_once_and_kept(self):
+        # the first dagger builds the inverse and the gate keeps it; the
+        # inverse's dagger is the gate itself
         rng = np.random.default_rng(11)
-        for gate in (random_unitary(rng, 4), np.array([1]), np.stack([np.eye(2)] * 2)):
-            op = GateOp(gate, (0, 1))
-            assert op.dagger() is not op.dagger()
-            inv = op.keep_inverse()
-            assert op.dagger() is inv and inv.dagger() is op and op.keep_inverse() is inv
-            if gate.ndim == 1:
+        for gate in (random_unitary(rng, 4), np.array([1]), np.stack([np.eye(2)] * 2), -1):
+            op = GateOp(gate, (0, 1), controls=((2, 0),))
+            inv = op.dagger()
+            assert op.dagger() is inv and inv.dagger() is op and inv is not op
+            if np.ndim(gate) == 1:
                 assert inv.matrix.tolist() == [3]
+            elif np.ndim(gate) == 0:
+                assert inv.matrix == 1
             else:
                 assert np.array_equal(inv.matrix, np.swapaxes(op.matrix.conj(), -1, -2))
             assert (inv.targets, inv.controls, inv.label) == (op.targets, op.controls, op.label)
 
-    def test_self_inverse_gate_keeps_itself(self):
+    def test_self_inverse_gate_dagger_has_its_matrix(self):
         h = hadamard(0)
-        assert h.keep_inverse() is h and h.dagger() is h
+        assert np.array_equal(h.dagger().matrix, h.matrix)
         flip = GateOp(np.array([0, 1]), (0, 1))
-        assert flip.keep_inverse() is flip
+        assert np.array_equal(flip.dagger().matrix, flip.matrix)
 
     def test_fourier_sign_is_one_or_minus_one(self):
         for sign in (0, 2, -3):
@@ -418,21 +420,24 @@ def _random_table(rng, k):
     return rng.integers(-(1 << k), 1 << k, size=1 << int(rng.integers(0, k)))
 
 
-def _random_op(rng, wires):
-    """A dense, table-add or block gate on 1-3 of ``wires``, controlled
-    with mixed polarities by some of the rest."""
+def _random_op(rng, wires, forms=("dense", "table", "block")):
+    """A gate of one of ``forms`` (dense, table add, block stack or Fourier)
+    on 1-3 of ``wires``, controlled with mixed polarities by some of the
+    rest."""
     wires = [int(w) for w in rng.permutation(wires)]
     k = int(rng.integers(1, min(3, len(wires)) + 1))
     n_ctrl = int(rng.integers(0, len(wires) - k + 1))
     controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
-    kind = int(rng.integers(0, 3))
-    if kind == 0:
+    form = forms[int(rng.integers(0, len(forms)))]
+    if form == "dense":
         gate = random_unitary(rng, 1 << k)
-    elif kind == 1:
+    elif form == "table":
         gate = _random_table(rng, k)
-    else:
+    elif form == "block":
         d = 1 << int(rng.integers(0, k + 1))
         gate = np.stack([random_unitary(rng, d) for _ in range((1 << k) // d)])
+    else:
+        gate = int(rng.choice([-1, 1]))
     return GateOp(gate, tuple(wires[:k]), controls)
 
 
@@ -558,9 +563,10 @@ class TestLiveRowState:
                     assert np.array_equal(full1, full2)
 
     def test_circuits_match_dense_operator(self):
-        # dense, block and table-add gates together (every gate on the
-        # block), and circuits of table adds alone, on qubits inside the
-        # stored key, across the key and the block, and inside the block
+        # dense, block and table-add gates together (runs of table adds
+        # between runs of the others), and circuits of table adds alone, on
+        # qubits inside the stored key, across the key and the block, and
+        # inside the block
         rng = np.random.default_rng(73)
         kinds = set()
         for _ in range(60):
@@ -591,12 +597,20 @@ class TestLiveRowState:
 
     def test_one_gate_across_splits_keeps_a_plan_per_split(self):
         # the same gate objects run at several (num_qubits, top) pairs, in
-        # both kernels, in alternation: a plan kept from one split must never
-        # be used at another
+        # both kernels, in alternation: a plan cached for one split must
+        # never be used at another
         rng = np.random.default_rng(83)
-        dense_op = GateOp(random_unitary(rng, 4), (3, 5), controls=((4, 0),))
-        block_op = GateOp(np.stack([random_unitary(rng, 2) for _ in range(2)]), (4, 3))
-        map_op = GateOp(np.array([1, -2]), (5, 3, 4))
+        dense_u = random_unitary(rng, 4)
+        blocks = np.stack([random_unitary(rng, 2) for _ in range(2)])
+
+        def gates():
+            return (
+                GateOp(dense_u, (3, 5), controls=((4, 0),)),
+                GateOp(blocks, (4, 3)),
+                GateOp(np.array([1, -2]), (5, 3, 4)),
+            )
+
+        dense_op, block_op, map_op = gates()
         for _ in range(2):
             for q in (6, 7, 8):
                 for lo in range(3):
@@ -613,15 +627,18 @@ class TestLiveRowState:
                     s = StateVector._owned(q, top, keys.copy(), block.copy())
                     want = dense_operator(map_op, q) @ s.amps
                     assert np.max(np.abs(apply(s, map_op).amps - want)) < 1e-12
-        assert set(dense_op._plans) == {("rows", q, lo) for q in (6, 7, 8) for lo in range(3)}
-        assert {k for k in map_op._plans if k[0] == "keys"} == {("keys", t) for t in (6, 7, 8)}
-        # an inverse shares the plans of its gate, and they hold for it too
-        for op in (dense_op, block_op, map_op):
-            inv = op.dagger()
-            assert inv._plans is op._plans
+        # plans are cached by wiring: a second gate built with the same
+        # wiring, and every inverse, reuse them and plan nothing anew
+        rows, keys = sim._rows_plan.cache_info(), sim._keys_plan.cache_info()
+        for op in gates():
             for q in (6, 7, 8):
                 s = StateVector(random_state(rng, q))
-                assert np.max(np.abs(run(s, Circuit(q, [op, inv])).amps - s.amps)) < 1e-12
+                got = run(s, Circuit(q, [hadamard(2), op, op.dagger(), hadamard(2)])).amps
+                assert np.max(np.abs(got - s.amps)) < 1e-12
+        assert sim._rows_plan.cache_info().misses == rows.misses
+        assert sim._keys_plan.cache_info().misses == keys.misses
+        assert sim._rows_plan.cache_info().hits > rows.hits
+        assert sim._keys_plan.cache_info().hits > keys.hits
 
     def test_key_permutation_moves_no_amplitude_value(self):
         # a table add inside the key only relabels rows
@@ -741,14 +758,29 @@ class TestCircuit:
             run(StateVector.zero(2), Circuit(3))
 
     def test_inverse_undoes_random_circuit(self):
+        # circuits mixing all four gate forms, with runs of table adds ("t")
+        # first, last and between runs of dense, block and Fourier gates
+        # ("b"), with and without controls of mixed polarity: against the
+        # product of the gates' dense operators, and undone by the inverse
         rng = np.random.default_rng(23)
-        c = Circuit(4)
-        for _ in range(12):
-            t = int(rng.integers(0, 4))
-            c.append(GateOp(random_unitary(rng, 2), (t,)))
-        vec = random_state(rng, 4)
-        round_trip = run(run(StateVector(vec), c), c.inverse())
-        assert np.max(np.abs(round_trip.amps - vec)) < 1e-9
+        forms, controlled_adds = set(), 0
+        for pattern in ("tb", "bt", "btb", "tbt", "btbtb") * 4:
+            q = int(rng.integers(3, 7))
+            c = Circuit(q)
+            for run_kind in pattern:
+                kinds = ("table",) if run_kind == "t" else ("dense", "block", "fourier")
+                for _ in range(int(rng.integers(1, 4))):
+                    c.append(_random_op(rng, range(q), kinds))
+            unitary = np.eye(1 << q)
+            for op in c:
+                unitary = dense_operator(op, q) @ unitary
+                forms.add(op.matrix.ndim)
+                controlled_adds += op.matrix.ndim == 1 and bool(op.controls)
+            vec = random_state(rng, q)
+            got = run(StateVector(vec), c)
+            assert np.max(np.abs(got.amps - unitary @ vec)) < 1e-12
+            assert np.max(np.abs(run(got, c.inverse()).amps - vec)) < 1e-12
+        assert forms == {0, 1, 2, 3} and controlled_adds > 0
 
     def test_concatenation_equals_sequential(self):
         rng = np.random.default_rng(29)
@@ -808,6 +840,16 @@ class TestPostSelect:
     def test_impossible_outcome_raises(self):
         with pytest.raises(ZeroProbabilityOutcome):
             post_select(StateVector.zero(2), 0, 1)
+
+    def test_round_off_outcome_message_names_the_floor(self):
+        # Ry(pi/2) then Ry(-pi/2) leaves qubit 0 at |0> in exact arithmetic
+        # and |1> with a round-off amplitude in floating point; the message
+        # must not print that round-off value
+        s = run(StateVector.zero(2), Circuit(2, [ry(math.pi / 2, 0), ry(-math.pi / 2, 0)]))
+        assert 0 < abs(s.amps[2]) < 1e-15
+        with pytest.raises(ZeroProbabilityOutcome) as err:
+            post_select(s, 0, 1)
+        assert str(err.value) == "outcome 1 on qubit 0 has probability below 1e-12"
 
     def test_bad_outcome_value(self):
         with pytest.raises(ValueError, match="outcome"):
