@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,6 @@ EXIT_INPUT = 2
 EXIT_FILTERED = 3
 EXIT_INTERNAL = 4
 
-MAX_EIG_BITS = 8
-
 
 class ParseError(Exception):
     """Matrix file is missing or malformed."""
@@ -43,19 +40,6 @@ class NotSquare(ParseError):
 
 class NotSymmetric(ParseError):
     """Matrix is square but not symmetric within tolerance."""
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Validated arguments of the ``run`` subcommand."""
-
-    matrix_path: str
-    tau: float
-    eig_bits: int
-    out_path: str
-    mode: str = "exact"
-    shots: int = 8192
-    seed: int = 0
 
 
 def _matrix_from_rows(rows: list[list[float]], origin: str) -> HermitianInput:
@@ -142,12 +126,13 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _result_document(hin: HermitianInput, spec: RunSpec, result) -> dict:
+def _result_document(hin: HermitianInput, config: QpcaConfig, result) -> dict:
+    n, m = config.n_bits, result.layout.data_qubits
     doc = {
         "input_state": [_sig10(v) for v in hin.amplitude_encoding],
-        "tau": _sig10(spec.tau),
-        "eig_bits": spec.eig_bits,
-        "mode": spec.mode,
+        "tau": _sig10(config.tau),
+        "eig_bits": n,
+        "mode": config.mode,
         "kept_eigenvalues": [_sig10(v) for v in result.kept_eigenvalues],
         "success_probability": _sig10(result.success_prob),
         "output_amplitudes": [_sig10(_floored(v)) for v in result.output_amps],
@@ -156,9 +141,9 @@ def _result_document(hin: HermitianInput, spec: RunSpec, result) -> dict:
         },
         "fidelity_vs_classical": _sig10(result.fidelity),
         "gate_counts": {
-            "proposed": cost_proposed(spec.eig_bits, result.layout.data_qubits).total,
-            "baseline": cost_baseline(spec.eig_bits, result.layout.data_qubits).total,
-            "ratio": _sig10(gate_ratio(spec.eig_bits)),
+            "proposed": result.total_gates,
+            "baseline": cost_baseline(n, m).total,
+            "ratio": _sig10(gate_ratio(n)),
         },
     }
     if result.shots is not None:
@@ -174,26 +159,14 @@ def _plot_csv(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_command(spec: RunSpec) -> int:
-    if not spec.tau > 0:
-        return _fail(EXIT_INPUT, f"tau must be positive, got {spec.tau}")
-    if not 1 <= spec.eig_bits <= MAX_EIG_BITS:
-        return _fail(EXIT_INPUT, f"eig-bits must lie in [1, {MAX_EIG_BITS}], got {spec.eig_bits}")
-    if spec.mode not in ("exact", "sampled"):
-        return _fail(EXIT_INPUT, f"mode must be 'exact' or 'sampled', got {spec.mode!r}")
-    if spec.shots < 1:
-        return _fail(EXIT_INPUT, f"shots must be >= 1, got {spec.shots}")
-
+def run_command(matrix_path: str, config: QpcaConfig, out_path: str) -> int:
     try:
-        hin = parse_matrix(spec.matrix_path)
+        hin = parse_matrix(matrix_path)
     except ParseError as e:
         return _fail(EXIT_INPUT, str(e))
     except ValueError as e:
-        return _fail(EXIT_INPUT, f"{spec.matrix_path}: {e}")
+        return _fail(EXIT_INPUT, f"{matrix_path}: {e}")
 
-    config = QpcaConfig(
-        tau=spec.tau, n_bits=spec.eig_bits, mode=spec.mode, shots=spec.shots, seed=spec.seed
-    )
     try:
         result = run_qpca(hin, config)
     except (AllComponentsFiltered, ZeroProbabilityOutcome) as e:
@@ -203,8 +176,8 @@ def run_command(spec: RunSpec) -> int:
     except ValueError as e:
         return _fail(EXIT_INPUT, str(e))
 
-    out = Path(spec.out_path)
-    out.write_text(json.dumps(_result_document(hin, spec, result), indent=2) + "\n")
+    out = Path(out_path)
+    out.write_text(json.dumps(_result_document(hin, config, result), indent=2) + "\n")
     plot = out.with_suffix(".csv")
     plot.write_text(_plot_csv(result))
     print(f"wrote {out} and {plot}")
@@ -235,12 +208,10 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="simulate the filtering pipeline on a matrix file")
     runp.add_argument("--matrix", required=True, help="CSV or JSON matrix file")
     runp.add_argument("--tau", type=float, required=True, help="eigenvalue threshold (> 0)")
-    runp.add_argument(
-        "--eig-bits", type=int, required=True, help=f"eigenvalue register width (1..{MAX_EIG_BITS})"
-    )
-    runp.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    runp.add_argument("--shots", type=int, default=8192, help="samples in sampled mode")
-    runp.add_argument("--seed", type=int, default=0, help="sampling seed")
+    runp.add_argument("--eig-bits", type=int, required=True, help="eigenvalue register width")
+    runp.add_argument("--mode", choices=("exact", "sampled"), default=QpcaConfig.mode)
+    runp.add_argument("--shots", type=int, default=QpcaConfig.shots, help="samples in sampled mode")
+    runp.add_argument("--seed", type=int, default=QpcaConfig.seed, help="sampling seed")
     runp.add_argument("--out", required=True, help="output JSON path (plot CSV goes next to it)")
 
     anap = sub.add_parser("analyze", help="tabulate gate budgets over a register-width range")
@@ -253,19 +224,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return run_command(
-                RunSpec(
-                    matrix_path=args.matrix,
-                    tau=args.tau,
-                    eig_bits=args.eig_bits,
-                    out_path=args.out,
-                    mode=args.mode,
-                    shots=args.shots,
-                    seed=args.seed,
-                )
-            )
-        return analyze_command(args.n_min, args.n_max, args.out)
+        if args.command == "analyze":
+            return analyze_command(args.n_min, args.n_max, args.out)
+        try:
+            config = QpcaConfig(args.tau, args.eig_bits, args.mode, args.shots, args.seed)
+        except ValueError as e:
+            return _fail(EXIT_INPUT, str(e))
+        return run_command(args.matrix, config, args.out)
     except PipelineInvariantError as e:
         return _fail(EXIT_INTERNAL, f"internal invariant violated: {e}")
     except Exception as e:  # startled by anything else: report, don't traceback

@@ -33,6 +33,7 @@ from .filtering import (
 )
 from .layout import RegisterLayout
 from .sim import (
+    ROUNDOFF,
     Circuit,
     GateOp,
     SimulationError,
@@ -46,13 +47,12 @@ from .sim import (
 
 UNCOMPUTE_ATOL = 1e-9
 
-# Widest register run_qpca simulates.  States store only their live rows:
-# from phase estimation on, at most two rows of 2**(n+m) amplitudes for any
-# spectrum, exact or not, since the filter's inverse returns y to 0 exactly
-# and lambda stays inside the rows.  The cap bounds the dense worst case:
-# ``StateVector.amps`` of the whole state (256 MiB at 24 qubits), and a
-# wide data register at small n, where those two rows are 2**-n of it.
-MAX_QUBITS = 24
+# Largest block of 2**(n+m) amplitudes that run_qpca simulates.  From phase
+# estimation on a state holds at most two such blocks for any spectrum; the
+# filter and flip tables (2**n entries) and the phase gate (2**(n+k)) are
+# smaller, and basis indices stay under 44 bits.  A call peaks at 7 to 10
+# blocks of 16 * 2**(n+m) bytes, about 600 MiB at this limit.
+MAX_LIVE_AMPS = 2**22
 
 
 class AllComponentsFiltered(Exception):
@@ -119,13 +119,13 @@ class QpcaConfig:
 
     def __post_init__(self):
         if not self.tau > 0:
-            raise ValueError("tau must be positive")
+            raise ValueError(f"tau must be positive, got {self.tau}")
         if self.n_bits < 1:
-            raise ValueError("n_bits must be >= 1")
+            raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
 
 
 @dataclass(eq=False)
@@ -235,7 +235,7 @@ def lambda_register_histogram(state: StateVector, layout: RegisterLayout) -> dic
     """Marginal probability of each lambda-register value, zeros dropped."""
     _, _, lam, block = _work_rows(state, layout)
     mass = np.bincount(lam, weights=_row_masses(block), minlength=1 << layout.eig_bits)
-    return {int(v): float(p) for v, p in enumerate(mass) if p > 1e-12}
+    return {int(v): float(p) for v, p in enumerate(mass) if p > ROUNDOFF}
 
 
 def make_layout(hin: HermitianInput, n_bits: int) -> RegisterLayout:
@@ -266,16 +266,17 @@ def run_qpca(
     approximation of the thresholded state.
 
     Raises ``ZeroProbabilityOutcome`` when every component is filtered out,
-    and ``ValueError`` before any state is built when the register needs
-    more than ``MAX_QUBITS`` qubits or ``filter_table`` does not match.
+    and ``ValueError`` before any state is built when a block of
+    2**(n_bits + m) amplitudes, m the data qubits, exceeds ``MAX_LIVE_AMPS``,
+    or when ``filter_table`` does not match.
     """
     layout = make_layout(hin, config.n_bits)
-    if layout.num_qubits > MAX_QUBITS:
-        state_bytes = (1 << layout.num_qubits) * np.dtype(np.complex128).itemsize
+    live = 1 << (layout.eig_bits + layout.data_qubits)
+    if live > MAX_LIVE_AMPS:
+        block_bytes = live * np.dtype(np.complex128).itemsize
         raise ValueError(
-            f"{layout.num_qubits} qubits need {state_bytes} bytes "
-            f"({state_bytes >> 20} MiB) per state copy; "
-            f"the limit is {MAX_QUBITS} qubits"
+            f"{layout.num_qubits} qubits hold {live} live amplitudes, {block_bytes} bytes "
+            f"({block_bytes >> 20} MiB) per block; the limit is {MAX_LIVE_AMPS} amplitudes"
         )
 
     exact_spectrum = all(abs(lam - round(lam)) <= SPECTRUM_ATOL for lam in hin.eigenvalues)
@@ -325,7 +326,7 @@ def run_qpca(
         raise PipelineInvariantError(
             f"stray population outside data block: {1.0 - block_mass:.3e}"
         )
-    if block_mass < 1e-12:
+    if block_mass < ROUNDOFF:
         raise ZeroProbabilityOutcome("no population left on clean work registers")
     amps = amps / np.sqrt(block_mass)
     if np.max(np.abs(amps.imag)) > UNCOMPUTE_ATOL:

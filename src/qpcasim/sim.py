@@ -79,7 +79,6 @@ import numpy as np
 
 UNITARY_ATOL = 1e-10      # max |M^dag M - I| allowed for a gate matrix
 NORM_ATOL = 1e-9          # statevector norm drift tolerated after an operation
-MIN_OUTCOME_PROB = 1e-12  # below this a post-selection outcome counts as impossible
 ROUNDOFF = 1e-12          # round-off floor of a unit-norm state's amplitudes and probabilities
 
 
@@ -520,7 +519,7 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, St
 
     Returns (probability of the outcome, collapsed state).  Raises
     ``ZeroProbabilityOutcome`` when the outcome probability is below
-    ``MIN_OUTCOME_PROB``.
+    ``ROUNDOFF``.
     """
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
@@ -532,9 +531,9 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, St
     hit = ((keys >> (top - 1 - qubit)) & 1) == outcome
     kept = block[hit]  # a copy
     prob = float(np.sum(np.abs(kept) ** 2))
-    if prob < MIN_OUTCOME_PROB:
+    if prob < ROUNDOFF:
         raise ZeroProbabilityOutcome(
-            f"outcome {outcome} on qubit {qubit} has probability below {MIN_OUTCOME_PROB:g}"
+            f"outcome {outcome} on qubit {qubit} has probability below {ROUNDOFF:g}"
         )
     kept /= math.sqrt(prob)
     return prob, StateVector._owned(state.num_qubits, top, keys[hit], kept)

@@ -111,13 +111,22 @@ class TestRunCommand:
         assert len(plot) == 5
 
     def test_widest_register(self, a_path, tmp_path):
-        # README example on 1 + 2*8 + 2 = 19 qubits
+        # README example on 1 + 2*8 + 2 = 19 and 1 + 2*12 + 2 = 27 qubits
         out = tmp_path / "result.json"
-        assert main(["run", "--matrix", a_path, "--tau", "1.0", "--eig-bits", "8",
+        for eig_bits in ("8", "12"):
+            assert main(["run", "--matrix", a_path, "--tau", "1.0", "--eig-bits", eig_bits,
+                         "--out", str(out)]) == EXIT_OK
+            doc = json.loads(out.read_text())
+            assert doc["success_probability"] == 0.8
+            assert doc["output_amplitudes"] == [0.5, 0.5, 0.5, 0.5]
+        # 64x64 at n = 6: 25 qubits, 2**18 live amplitudes
+        p = tmp_path / "wide.csv"
+        np.savetxt(p, np.diag(np.arange(64.0) % 8), delimiter=",")
+        assert main(["run", "--matrix", str(p), "--tau", "0.5", "--eig-bits", "6",
                      "--out", str(out)]) == EXIT_OK
         doc = json.loads(out.read_text())
-        assert doc["success_probability"] == 0.8
-        assert doc["output_amplitudes"] == [0.5, 0.5, 0.5, 0.5]
+        assert doc["kept_eigenvalues"] == [float(v) for v in range(7, 0, -1) for _ in range(8)]
+        assert doc["fidelity_vs_classical"] == 1.0
 
     def test_output_is_deterministic(self, c_path, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -172,22 +181,24 @@ class TestRunCommand:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_bad_eig_bits_exits_two(self, a_path, tmp_path):
-        assert main(["run", "--matrix", a_path, "--tau", "1", "--eig-bits", "9",
+    def test_bad_eig_bits_exits_two(self, a_path, tmp_path, capsys):
+        assert main(["run", "--matrix", a_path, "--tau", "1", "--eig-bits", "0",
                      "--out", str(tmp_path / "x.json")]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: n_bits must be >= 1, got 0\n"
 
     def test_register_too_wide_exits_two(self, tmp_path, capsys):
-        # 64x64 at n = 6 is 25 qubits: refused before a 512 MiB state exists
+        # 64x64 at n = 11 is 2**23 live amplitudes, over the 2**22 limit:
+        # refused before a 128 MiB block of them exists
         p = tmp_path / "wide.csv"
         np.savetxt(p, np.diag(np.arange(64.0) % 8), delimiter=",")
         out = tmp_path / "x.json"
         start = time.perf_counter()
-        code = main(["run", "--matrix", str(p), "--tau", "0.5", "--eig-bits", "6",
+        code = main(["run", "--matrix", str(p), "--tau", "0.5", "--eig-bits", "11",
                      "--out", str(out)])
         assert time.perf_counter() - start < 5.0
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
-        assert "25 qubits" in err and "536870912 bytes" in err
+        assert "8388608 live amplitudes" in err and "134217728 bytes" in err
         assert not out.exists()
 
     def test_missing_matrix_exits_two(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import importlib
+
 import qpcasim
 
 # builders no pipeline path ran; the filter's gate budget lives in
@@ -7,7 +9,9 @@ import qpcasim
 # cphase are test references now (tests/helpers.py); circuits concatenate
 # as Circuit(n, a.ops + b.ops), and state prep checks its blocks without
 # GateOp.stack.  A gate keeps the inverse its first dagger builds, and
-# kernel plans are cached by wiring, not kept on the gate
+# kernel plans are cached by wiring, not kept on the gate.  One size limit,
+# pipeline.MAX_LIVE_AMPS, replaces the qubit and eig-bits caps; QpcaConfig
+# alone checks the run parameters, and sim.ROUNDOFF is the one round-off floor
 DELETED = (
     "build_qft_adder",
     "count_filter_gates",
@@ -20,6 +24,10 @@ DELETED = (
     "stack",
     "keep_inverse",
     "_plans",
+    "MAX_QUBITS",
+    "MAX_EIG_BITS",
+    "RunSpec",
+    "MIN_OUTCOME_PROB",
 )
 
 
@@ -33,5 +41,8 @@ def test_deleted_builders_are_gone():
     for name in DELETED:
         assert name not in qpcasim.__all__
         assert not hasattr(qpcasim, name)
-        owners = [getattr(qpcasim, mod) for mod in ("sim", "builders", "filtering")]
+        owners = [
+            importlib.import_module(f"qpcasim.{mod}")
+            for mod in ("sim", "builders", "filtering", "pipeline", "cli")
+        ]
         assert not any(hasattr(owner, name) for owner in owners + [qpcasim.Circuit, qpcasim.GateOp])

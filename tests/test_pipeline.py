@@ -34,6 +34,7 @@ from qpcasim import (
     fidelity,
     lambda_register_histogram,
     make_layout,
+    pipeline,
     post_select,
     run,
     run_qpca,
@@ -367,23 +368,44 @@ class TestRunQpca:
         assert peak < 64e6
         assert abs(result.fidelity - 1.0) < 1e-9
 
-    def test_23_qubits_hold_only_live_amplitudes(self):
-        # dim 8 at n = 8 is 23 qubits, 128 MiB per dense state; the live
-        # rows are one or two times 2**(n+m) = 16384 amplitudes
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize(
+        "dim, n_bits",
+        [(8, 8), (2, 12), (4, 12), (16, 8)],
+        ids=["8x8-n8", "2x2-n12", "4x4-n12", "16x16-n8"],
+    )
+    def test_wide_registers_hold_only_live_amplitudes(self, dim, n_bits, mode):
+        # 23 to 29 qubits, 128 MiB to 8 GiB per dense state; the live rows
+        # are one or two blocks of 2**(n+m) amplitudes, 16 * 2**(n+m) bytes
         rng = np.random.default_rng(9)
-        mat, _ = random_integer_spectrum_matrix(rng, 8, 8, tau=100.5)
+        tau = 0.4 * 2**n_bits + 0.5
+        mat, _ = random_integer_spectrum_matrix(rng, dim, n_bits, tau=tau)
         hin = HermitianInput.from_matrix(mat)
-        for mode in ("exact", "sampled"):
-            tracemalloc.start()
-            try:
-                result = run_qpca(hin, QpcaConfig(tau=100.5, n_bits=8, mode=mode))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert result.layout.num_qubits == 23
-            assert peak < 32e6, (mode, peak)
-            if mode == "exact":
-                assert abs(result.fidelity - 1.0) < 1e-9
+        tracemalloc.start()
+        try:
+            result = run_qpca(hin, QpcaConfig(tau=tau, n_bits=n_bits, mode=mode))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        layout = result.layout
+        block_bytes = 16 << (layout.eig_bits + layout.data_qubits)
+        assert layout.num_qubits == 1 + 2 * n_bits + 2 * (dim.bit_length() - 1)
+        assert result.kept_count == classical_pca_oracle(hin, FilterParams(tau, n_bits))[0]
+        assert peak < 12 * block_bytes, (peak, block_bytes)
+        if mode == "exact":
+            assert abs(result.fidelity - 1.0) < 1e-9
+
+    def test_over_the_live_amplitude_budget_builds_no_state(self, monkeypatch):
+        # 64x64 at n = 11: 2**23 live amplitudes, twice the limit
+        def zero(*_):
+            raise AssertionError("state built")
+
+        monkeypatch.setattr(StateVector, "zero", zero)
+        hin = HermitianInput.from_matrix(np.diag(np.arange(64.0) % 8))
+        assert 1 << (11 + 12) > pipeline.MAX_LIVE_AMPS
+        message = r"35 qubits hold 8388608 live amplitudes, 134217728 bytes"
+        with pytest.raises(ValueError, match=message):
+            run_qpca(hin, QpcaConfig(tau=0.5, n_bits=11))
 
     def test_never_builds_the_dense_state(self, monkeypatch):
         def dense(_):
