@@ -2,7 +2,7 @@
 Statevector simulator basics
 ============================
 
-States, gates, controls, post-selection, and sampling.  Qubit 0 is the most
+States, gates, block stacks, post-selection, and sampling.  Qubit 0 is the most
 significant bit of the basis index, so on three qubits |100> sits at index 4.
 """
 
@@ -10,10 +10,10 @@ import numpy as np
 
 from qpcasim import (
     Circuit,
+    GateOp,
     StateVector,
     apply,
     hadamard,
-    pauli_x,
     post_select,
     run,
     ry,
@@ -24,8 +24,11 @@ from qpcasim import (
 state = apply(StateVector.zero(1), hadamard(0))
 print("H|0> =", np.round(state.amps, 4))
 
-# Controls take (qubit, polarity) pairs; polarity 0 fires on |0>.
-bell = run(StateVector.zero(2), Circuit(2, [hadamard(0), pauli_x(1, controls=((0, 1),))]))
+# A controlled gate is a stack of blocks: the leading target selects the
+# block, so this CNOT applies I when qubit 0 reads 0 and X when it reads 1.
+X = np.array([[0, 1], [1, 0]])
+cnot = GateOp([np.eye(2), X], (0, 1), label="CNOT")
+bell = run(StateVector.zero(2), Circuit(2, [hadamard(0), cnot]))
 print("Bell state:", np.round(bell.amps, 4))
 
 # Ry rotations are real, which keeps every amplitude in this package real.

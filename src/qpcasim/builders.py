@@ -217,5 +217,5 @@ def build_state_prep(vector, qubits=None, num_qubits: int | None = None) -> Circ
         if np.any(thetas):
             gate_blocks = blocks[(1 << level) - 1 : (2 << level) - 1]
             label = f"UCRy(level {level})"
-            circ.append(GateOp._trusted(gate_blocks, qubits[: level + 1], (), label))
+            circ.append(GateOp._trusted(gate_blocks, qubits[: level + 1], label))
     return circ

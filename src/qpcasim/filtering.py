@@ -144,15 +144,12 @@ class FilterParams:
 
     tau: float
     n_bits: int
-    newton_iters: int | None = None
 
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         if self.n_bits < 1:
             raise ValueError("n_bits must be >= 1")
-        if self.newton_iters is not None and self.newton_iters < 1:
-            raise ValueError("newton_iters must be >= 1")
 
     @property
     def frac_bits(self) -> int:
@@ -160,8 +157,6 @@ class FilterParams:
 
     @property
     def iterations(self) -> int:
-        if self.newton_iters is not None:
-            return self.newton_iters
         return default_newton_iters(self.frac_bits)
 
     @property

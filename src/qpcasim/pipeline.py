@@ -235,7 +235,8 @@ def lambda_register_histogram(state: StateVector, layout: RegisterLayout) -> dic
     """Marginal probability of each lambda-register value, zeros dropped."""
     _, _, lam, block = _work_rows(state, layout)
     mass = np.bincount(lam, weights=_row_masses(block), minlength=1 << layout.eig_bits)
-    return {int(v): float(p) for v, p in enumerate(mass) if p > ROUNDOFF}
+    values = np.flatnonzero(mass > ROUNDOFF)
+    return dict(zip(values.tolist(), mass[values].tolist()))
 
 
 def make_layout(hin: HermitianInput, n_bits: int) -> RegisterLayout:
@@ -349,7 +350,8 @@ def run_qpca(
         accepted = int(per_data.sum())
         if accepted == 0:
             raise PipelineInvariantError("no shot landed on the post-selected ancilla")
-        counts = {x: int(c) for x, c in enumerate(per_data) if c}
+        hit = np.flatnonzero(per_data)
+        counts = dict(zip(hit.tolist(), per_data[hit].tolist()))
         output_amps = np.sqrt(per_data / accepted)
         shots = config.shots
 

@@ -35,26 +35,26 @@ two values, so every stage works on one or two times 2**(n+m) amplitudes.
 
 Fixed cost per gate.  At those sizes a gate costs mostly its set-up.  A
 kernel plan depends only on a gate's wiring and the split, so it is a cached
-function of them: ``_rows_plan`` gives ``_apply_into`` the index fixing the
-controls, the transpose bringing the targets forward and the shapes;
-``_keys_plan`` gives ``_permute_keys`` the targets' bit positions and the
-control masks in a row key.  Gates built anew on each call, and every
-inverse, share the plan of the first gate with their wiring.
+function of them: ``_rows_plan`` gives ``_apply_into`` the transpose bringing
+the targets forward and the shapes; ``_keys_plan`` gives ``_permute_keys``
+the targets' bit positions in a row key.  Gates built anew on each call, and
+every inverse, share the plan of the first gate with their wiring.
 ``_permute_keys`` reads the target values through one bit matrix of the
 keys, so it makes a fixed number of numpy calls for any wiring.  A gate
 builds its inverse on the first ``dagger`` call and keeps it, so a shared
 gate (the Hadamards and the Fourier gate of a register) is inverted once.
 
-A gate on k target qubits holds one of four forms in ``GateOp.matrix``:
+A gate acts on its k target qubits alone and holds one of three forms in
+``GateOp.matrix``:
 
-* a dense (2**k x 2**k) complex unitary M, applied as ``M @ amps``;
 * a (B, d, d) stack of unitary blocks with B * d = 2**k, the block-diagonal
   matrix diag(M_0, ..., M_{B-1}): the leading log2(B) targets select the
-  block, which acts on the remaining targets.  A uniformly controlled
-  rotation, one rotation per value of its control qubits, is one such gate;
-  state preparation emits one per level of its binary tree, and phase
-  estimation one diagonal of 1 x 1 blocks, a phase per register value and
-  eigenvector;
+  block, which acts on the remaining targets.  A dense unitary is the stack
+  of one block.  A uniformly controlled rotation, one rotation per value of
+  its control qubits, is one such gate, and so is a controlled-U: I in every
+  block but U in the one its controls select.  State preparation emits one
+  stack per level of its binary tree, and phase estimation one diagonal of
+  1 x 1 blocks, a phase per register value and eigenvector;
 * a sign s = 1 or -1 (a 0-d integer array), the unitary DFT with kernel
   e^(s 2 pi i jk / 2**k), j and k read with targets[0] as the top bit,
   applied as ``np.fft.ifft`` (s = 1) or ``np.fft.fft`` (s = -1) along the
@@ -201,37 +201,22 @@ class StateVector:
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
-def _normalize_controls(controls) -> tuple[tuple[int, int], ...]:
-    out = []
-    for c in controls:
-        if isinstance(c, (int, np.integer)):
-            q, pol = int(c), 1
-        else:
-            q, pol = int(c[0]), int(c[1])
-        if pol not in (0, 1):
-            raise ValueError(f"control polarity must be 0 or 1, got {pol}")
-        out.append((q, pol))
-    return tuple(out)
-
-
-def _wiring(targets, controls) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Checked (targets, controls) tuples of a gate."""
+def _wiring(targets) -> tuple[int, ...]:
+    """The checked targets tuple of a gate."""
     if isinstance(targets, (int, np.integer)):
         targets = (int(targets),)
     targets = tuple(int(t) for t in targets)
-    controls = _normalize_controls(controls)
     if not targets:
         raise ValueError("gate needs at least one target qubit")
-    touched = list(targets) + [q for q, _ in controls]
-    if len(set(touched)) != len(touched):
-        raise ValueError(f"targets and controls overlap: {touched}")
-    if min(touched) < 0:
-        raise ValueError(f"negative qubit index in {touched}")
-    return targets, controls
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"repeated target qubit in {targets}")
+    if min(targets) < 0:
+        raise ValueError(f"negative qubit index in {targets}")
+    return targets
 
 
 def _conj_transpose(m: np.ndarray) -> np.ndarray:
-    """M^dag of a dense matrix, or of each block of a (B, d, d) stack."""
+    """M^dag of each block of a (B, d, d) stack."""
     return np.swapaxes(m.conj(), -1, -2)
 
 
@@ -242,38 +227,35 @@ def _unitarity_defect(m: np.ndarray) -> float:
 
 
 def _check_unitary(m: np.ndarray) -> None:
-    """Raise unless the dense matrix, or every matrix of a stack, is unitary."""
+    """Raise unless every block of a (B, d, d) stack is unitary."""
     defect = _unitarity_defect(m)
     if not defect <= UNITARY_ATOL:  # NaN compares false either way
         raise NonUnitaryMatrixError(f"matrix deviates from unitarity by {defect:.3e}")
 
 
 class GateOp:
-    """A k-qubit unitary acting on ``targets``, optionally controlled.
+    """A k-qubit unitary acting on ``targets``.
 
-    ``matrix`` is a dense 2**k x 2**k unitary; for a block-diagonal gate, a
-    (B, d, d) stack of blocks with B * d = 2**k, selected by the leading
-    targets; for a table-controlled add, a length-2**r integer table T
-    with r < k, adding T[lam] of the trailing r targets into the leading
-    k - r modulo 2**(k-r); or, for a Fourier gate, the sign 1 or -1 of the
-    DFT's exponent (see the module docstring).  A one-dimensional integer
-    array selects the table form; only its length is checked, and it is
-    stored reduced modulo 2**(k-r).  An integer scalar selects the Fourier
-    form; it must be 1 or -1.  A dense matrix or each block is
+    ``matrix`` is a (B, d, d) stack of unitary blocks with B * d = 2**k,
+    selected by the leading targets, and a 2-D 2**k x 2**k unitary is
+    stored as the stack of one block; for a table-controlled add, a
+    length-2**r integer table T with r < k, adding T[lam] of the trailing r
+    targets into the leading k - r modulo 2**(k-r); or, for a Fourier gate,
+    the sign 1 or -1 of the DFT's exponent (see the module docstring).  A
+    one-dimensional integer array selects the table form; only its length
+    is checked, and it is stored reduced modulo 2**(k-r).  An integer scalar
+    selects the Fourier form; it must be 1 or -1.  Each block of a stack is
     checked to be unitary at construction.  ``dagger`` and ``remap`` reuse
     the checked matrix and check only the wiring.
-
-    ``controls`` is a sequence of (qubit, polarity) pairs; polarity 1 fires
-    on |1>, polarity 0 on |0>.  Bare qubit indices mean polarity 1.
 
     Kernel plans are cached by wiring, not kept on the gate; a gate keeps
     only the inverse its first ``dagger`` builds.
     """
 
-    __slots__ = ("matrix", "targets", "controls", "label", "_lo", "_hi", "_inverse")
+    __slots__ = ("matrix", "targets", "label", "_lo", "_hi", "_inverse")
 
-    def __init__(self, matrix, targets, controls=(), label: str | None = None):
-        targets, controls = _wiring(targets, controls)
+    def __init__(self, matrix, targets, label: str | None = None):
+        targets = _wiring(targets)
         k = len(targets)
         m = np.asarray(matrix)
         if m.ndim == 0 and m.dtype.kind in "iu":
@@ -286,38 +268,34 @@ class GateOp:
             m = np.mod(m, (1 << k) // m.size).astype(np.intp, copy=False)
         else:
             m = np.array(matrix, dtype=np.complex128)
-            if m.ndim == 3:
-                fits = m.shape[1] == m.shape[2] and m.shape[0] * m.shape[1] == 1 << k
-            else:
-                fits = m.shape == (1 << k, 1 << k)
-            if not fits:
+            if m.ndim == 2:
+                m = m[None]
+            if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] * m.shape[1] != 1 << k:
                 raise ValueError(f"matrix shape {m.shape} does not match {k} target qubit(s)")
             _check_unitary(m)
-        self._set(m, targets, controls, label)
+        self._set(m, targets, label)
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray, targets, controls, label) -> "GateOp":
+    def _trusted(cls, matrix: np.ndarray, targets, label) -> "GateOp":
         """A gate on ``matrix`` taken from an already checked gate, or its
         inverse: the wiring is checked, the matrix is not checked again."""
         self = cls.__new__(cls)
-        self._set(matrix, *_wiring(targets, controls), label)
+        self._set(matrix, _wiring(targets), label)
         return self
 
-    def _set(self, matrix: np.ndarray, targets, controls, label) -> None:
+    def _set(self, matrix: np.ndarray, targets, label) -> None:
         matrix.setflags(write=False)
         self.matrix = matrix
         self.targets = targets
-        self.controls = controls
         self.label = label
-        touched = targets + tuple(q for q, _ in controls)
-        self._lo, self._hi = min(touched), max(touched)
+        self._lo, self._hi = min(targets), max(targets)
         self._inverse = None
 
     def dagger(self) -> "GateOp":
-        """Inverse gate, same wiring: the conjugate transpose of a dense
-        matrix or of each block, the add of -T for a table T, the Fourier
-        gate of the opposite sign.  Built on the first call and kept; the
-        inverse's ``dagger`` returns this gate."""
+        """Inverse gate, same wiring: the conjugate transpose of each block,
+        the add of -T for a table T, the Fourier gate of the opposite sign.
+        Built on the first call and kept; the inverse's ``dagger`` returns
+        this gate."""
         if self._inverse is None:
             m = self.matrix
             if m.ndim == 0:
@@ -326,18 +304,13 @@ class GateOp:
                 inverse = np.mod(-m, (1 << len(self.targets)) // m.size)
             else:
                 inverse = _conj_transpose(m)
-            self._inverse = GateOp._trusted(inverse, self.targets, self.controls, self.label)
+            self._inverse = GateOp._trusted(inverse, self.targets, self.label)
             self._inverse._inverse = self
         return self._inverse
 
     def remap(self, qubit_map: Sequence[int]) -> "GateOp":
         """Rewire the gate through ``qubit_map`` (old index -> new index)."""
-        return GateOp._trusted(
-            self.matrix,
-            tuple(qubit_map[t] for t in self.targets),
-            tuple((qubit_map[q], pol) for q, pol in self.controls),
-            self.label,
-        )
+        return GateOp._trusted(self.matrix, tuple(qubit_map[t] for t in self.targets), self.label)
 
     def max_qubit(self) -> int:
         return self._hi
@@ -347,7 +320,7 @@ class GateOp:
 
     def __repr__(self) -> str:
         name = self.label or f"{1 << len(self.targets)}x{1 << len(self.targets)}"
-        return f"GateOp({name}, targets={self.targets}, controls={self.controls})"
+        return f"GateOp({name}, targets={self.targets})"
 
 
 class Circuit:
@@ -397,23 +370,15 @@ class Circuit:
 
 
 @functools.cache
-def _rows_plan(targets, controls, matrix_shape, num_qubits: int, top: int) -> tuple:
+def _rows_plan(targets, matrix_shape, num_qubits: int, top: int) -> tuple:
     """How ``_apply_into`` views a block for a gate of this wiring and matrix
-    shape at this split: the per-qubit shape of the rows, the index fixing
-    the controls, the transpose moving the targets to the front, and the
-    shape the gate multiplies."""
-    index = [slice(None)] * (num_qubits - top + 1)
-    for cq, pol in controls:
-        index[cq - top + 1] = pol
-    # axis 0 is the row; each fixed control before a target removes one axis ahead of it
-    axes = [t - top + 1 - sum(cq < t for cq, _ in controls) for t in targets]
-    ndim = num_qubits - top + 1 - len(controls)
-    order = tuple(axes + [a for a in range(ndim) if a not in axes])
-    if len(matrix_shape) == 3:  # (block, row in block, rest)
-        flat = matrix_shape[:2] + (-1,)
-    else:
-        flat = (1 << len(axes), -1)
-    return (-1,) + (2,) * (num_qubits - top), tuple(index), order, flat
+    shape at this split: the per-qubit shape of the rows, the transpose
+    moving the targets to the front, and the shape the gate multiplies."""
+    axes = [t - top + 1 for t in targets]  # axis 0 is the row
+    order = tuple(axes + [a for a in range(num_qubits - top + 1) if a not in axes])
+    # a stack multiplies (block, row in block, rest); a Fourier gate (register value, rest)
+    flat = matrix_shape[:2] + (-1,) if matrix_shape else (1 << len(targets), -1)
+    return (-1,) + (2,) * (num_qubits - top), order, flat
 
 
 def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None:
@@ -421,14 +386,13 @@ def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None
 
     ``rows`` is a writable (R, 2**(num_qubits - top)) complex128 array whose
     columns index qubits top .. num_qubits-1; ``op`` touches none of the
-    qubits 0 .. top-1.  Fixing the controls by basic indexing and moving
-    the targets to the front are both views of ``rows``, so only the
-    controlled subspace is copied, once, into the (2**k, rest) block the
-    gate acts on.
+    qubits 0 .. top-1.  Moving the targets to the front is a view of
+    ``rows``, so the amplitudes are copied once, into the (B, d, rest) or
+    (2**k, rest) array the gate acts on.
     """
     gate = op.matrix
-    shape, index, order, flat = _rows_plan(op.targets, op.controls, gate.shape, num_qubits, top)
-    sub = rows.reshape(shape)[index].transpose(order)
+    shape, order, flat = _rows_plan(op.targets, gate.shape, num_qubits, top)
+    sub = rows.reshape(shape).transpose(order)
     if gate.ndim == 0:
         new = (np.fft.ifft if gate > 0 else np.fft.fft)(sub.reshape(flat), axis=0, norm="ortho")
     else:
@@ -437,36 +401,31 @@ def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None
 
 
 @functools.cache
-def _keys_plan(targets, controls, top: int) -> tuple:
+def _keys_plan(targets, top: int) -> tuple:
     """How ``_permute_keys`` reads and writes a gate of this wiring in a row
     key split at ``top``: the targets' bit positions, their weights in the
-    target value, their bits in the key, the mask that clears them, and the
-    mask and value the controls must read.  The arrays are read-only."""
+    target value, their bits in the key, and the mask that clears them.
+    The arrays are read-only."""
     shifts = top - 1 - np.array(targets, dtype=np.intp)
     weights = 1 << np.arange(len(targets) - 1, -1, -1, dtype=np.intp)
     places = 1 << shifts
     for a in (shifts, weights, places):
         a.setflags(write=False)
-    fire_mask = sum(1 << (top - 1 - q) for q, _ in controls)
-    fire_value = sum(pol << (top - 1 - q) for q, pol in controls)
-    return shifts, weights, places, ~int(places.sum()), fire_mask, fire_value
+    return shifts, weights, places, ~int(places.sum())
 
 
 def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
     """Row keys after the table add ``op``, all of whose qubits lie in
-    qubits 0 .. top-1: a row whose controls fire moves from target value
-    c * 2**r + lam to (c + T[lam]) * 2**r + lam, modulo 2**k.  O(len(keys))
-    in a fixed number of numpy calls, through the (len(keys), k) matrix of
-    the target bits; no amplitude moves."""
-    shifts, weights, places, clear, fire_mask, fire_value = _keys_plan(op.targets, op.controls, top)
+    qubits 0 .. top-1: a row moves from target value c * 2**r + lam to
+    (c + T[lam]) * 2**r + lam, modulo 2**k.  O(len(keys)) in a fixed number
+    of numpy calls, through the (len(keys), k) matrix of the target bits; no
+    amplitude moves."""
+    shifts, weights, places, clear = _keys_plan(op.targets, top)
     table = op.matrix
     value = ((keys[:, None] >> shifts) & 1) @ weights
     # the carry out of the k target bits is dropped below: the sum is mod 2**(k-r)
     value = value + table[value & (table.size - 1)] * table.size
-    moved = (keys & clear) | (((value[:, None] & weights) != 0) @ places)
-    if fire_mask:
-        moved = np.where((keys & fire_mask) == fire_value, moved, keys)
-    return moved
+    return (keys & clear) | (((value[:, None] & weights) != 0) @ places)
 
 
 def _evolve(state: StateVector, ops: Sequence[GateOp]) -> StateVector:
@@ -577,15 +536,15 @@ def hadamard(qubit: int) -> GateOp:
     return GateOp(_H, (qubit,), label="H")
 
 
-def pauli_x(qubit: int, controls=()) -> GateOp:
-    return GateOp(_X, (qubit,), controls, label="X")
+def pauli_x(qubit: int) -> GateOp:
+    return GateOp(_X, (qubit,), label="X")
 
 
-def ry(theta: float, qubit: int, controls=()) -> GateOp:
+def ry(theta: float, qubit: int) -> GateOp:
     """Real rotation [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return GateOp([[c, -s], [s, c]], (qubit,), controls, label=f"Ry({theta:.4f})")
+    return GateOp([[c, -s], [s, c]], (qubit,), label=f"Ry({theta:.4f})")
 
 
-def phase(theta: float, qubit: int, controls=()) -> GateOp:
-    return GateOp([[1, 0], [0, np.exp(1j * theta)]], (qubit,), controls, label=f"P({theta:.4f})")
+def phase(theta: float, qubit: int) -> GateOp:
+    return GateOp([[1, 0], [0, np.exp(1j * theta)]], (qubit,), label=f"P({theta:.4f})")

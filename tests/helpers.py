@@ -14,8 +14,22 @@ import numpy as np
 from qpcasim import Circuit, GateOp, circuit_unitary, hadamard, phase, ry, state_prep_tree
 
 
+def controlled(u, controls, targets, label=None) -> GateOp:
+    """Controlled-``u`` as one block stack on the control qubits, then
+    ``targets``: ``u`` in the block that the polarities of ``controls``,
+    (qubit, polarity) pairs, spell with the first control as the top bit,
+    and I in every other block.  Polarity 1 fires on |1>, polarity 0 on |0>."""
+    u = np.asarray(u, dtype=complex)
+    fire = 0
+    for _, pol in controls:
+        fire = 2 * fire + pol
+    blocks = np.array([np.eye(len(u), dtype=complex)] * (1 << len(controls)))
+    blocks[fire] = u
+    return GateOp(blocks, tuple(q for q, _ in controls) + tuple(targets), label)
+
+
 def cphase(theta: float, control: int, target: int) -> GateOp:
-    return phase(theta, target, controls=((control, 1),))
+    return controlled(phase(theta, target).matrix[0], ((control, 1),), (target,))
 
 
 def swap(a: int, b: int) -> GateOp:
@@ -92,8 +106,6 @@ def gate_matrix(op) -> np.ndarray:
     becomes the block-diagonal matrix with block j on rows and columns
     j*d .. j*d+d-1, a table T the matrix of its add (``add_table_matrix``),
     a Fourier sign s the DFT with kernel e^(s 2 pi i jk / 2**k)."""
-    if op.matrix.ndim == 2:
-        return op.matrix
     if op.matrix.ndim == 0:
         dft = dft_matrix(len(op.targets))
         return dft if op.matrix > 0 else dft.conj()
@@ -109,7 +121,7 @@ def gate_matrix(op) -> np.ndarray:
 
 
 def simulated_matrix(op) -> np.ndarray:
-    """The matrix of an uncontrolled GateOp as the simulator applies it:
+    """The matrix of a GateOp as the simulator applies it:
     ``circuit_unitary`` of the gate moved onto qubits 0 .. k-1, target i to
     qubit i."""
     wiring = {t: i for i, t in enumerate(op.targets)}
@@ -124,9 +136,6 @@ def dense_operator(op, num_qubits: int) -> np.ndarray:
     full = np.zeros((dim, dim), dtype=complex)
     for src in range(dim):
         bits = [(src >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits)]
-        if any(bits[q] != pol for q, pol in op.controls):
-            full[src, src] = 1.0
-            continue
         col = 0
         for t in op.targets:
             col = (col << 1) | bits[t]
@@ -159,7 +168,7 @@ def state_prep_reference(vector, qubits=None, num_qubits=None):
             controls = tuple(
                 (qubits[b], (node >> (level - 1 - b)) & 1) for b in range(level)
             )
-            circ.append(ry(float(theta), qubits[level], controls=controls))
+            circ.append(controlled(ry(float(theta), 0).matrix[0], controls, (qubits[level],)))
     return circ
 
 
@@ -189,7 +198,7 @@ def phase_estimation_reference(spec, lam_qubits, target_qubits, num_qubits=None)
     for lq in lam_qubits:
         circ.append(hadamard(lq))
     for i, lq in enumerate(lam_qubits):
-        circ.append(GateOp(exp_matrices(spec, (n - 1 - i,))[0], target_qubits, controls=((lq, 1),)))
+        circ.append(controlled(exp_matrices(spec, (n - 1 - i,))[0], ((lq, 1),), target_qubits))
     circ.extend(qft_reference(n).inverse().remap(lam_qubits, num_qubits))
     return circ
 

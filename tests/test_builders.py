@@ -54,14 +54,13 @@ class TestQft:
         assert len(ops) == n + (n > 1)
         for i, op in enumerate(ops[:n]):
             assert op.targets == tuple(range(i + 1, n)) + (i,)
-            assert op.controls == ()
             assert op.matrix.shape == (1 << (n - 1 - i), 2, 2)
         if n > 1:
             reverse = ops[n]
             assert reverse.targets == tuple(range(n))
             for x in range(1 << n):
                 bits = format(x, f"0{n}b")
-                assert reverse.matrix[int(bits[::-1], 2), x] == 1
+                assert reverse.matrix[0, int(bits[::-1], 2), x] == 1
 
     def test_gates_shared_but_circuit_fresh(self):
         first = build_qft(3)
@@ -246,12 +245,12 @@ class TestPhaseEstimation:
             checked.clear()
             pe = build_phase_estimation(spec, range(1, n + 1), (0,))
             assert len(pe) == n + 4
-            assert [m.shape for m in checked] == [(2, 2), (2, 2), (2 << n, 1, 1)]
+            assert [m.shape for m in checked] == [(1, 2, 2), (1, 2, 2), (2 << n, 1, 1)]
             assert np.array_equal(checked[1], pe.ops[n].matrix)
             assert np.array_equal(checked[2], pe.ops[n + 1].matrix)
             checked.clear()
             again = build_phase_estimation(spec, range(1, n + 1), (0,))
-            assert [m.shape for m in checked] == [(2, 2), (2 << n, 1, 1)]
+            assert [m.shape for m in checked] == [(1, 2, 2), (2 << n, 1, 1)]
             checked.clear()
             pe.inverse()
             assert checked == []
@@ -271,12 +270,12 @@ class TestPhaseEstimation:
         for g in pe.ops:
             d = g.dagger()
             assert d.dagger() is g and g.dagger() is d
-            assert (d.targets, d.controls) == (g.targets, g.controls)
+            assert d.targets == g.targets
         to_eigen, powers, from_eigen = pe.ops[n : n + 3]
         assert to_eigen.dagger() is from_eigen
         assert np.array_equal(powers.dagger().matrix, powers.matrix.conj())
         fourier = pe.ops[-1]
-        assert fourier.targets == lam and fourier.controls == ()
+        assert fourier.targets == lam
         assert np.max(np.abs(gate_matrix(fourier) - dft_matrix(n).conj())) < 1e-12
         assert np.max(np.abs(gate_matrix(fourier.dagger()) - dft_matrix(n))) < 1e-12
         assert all(a is b.dagger() for a, b in zip(pe.inverse().ops, reversed(pe.ops)))

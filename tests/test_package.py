@@ -11,7 +11,9 @@ import qpcasim
 # GateOp.stack.  A gate keeps the inverse its first dagger builds, and
 # kernel plans are cached by wiring, not kept on the gate.  One size limit,
 # pipeline.MAX_LIVE_AMPS, replaces the qubit and eig-bits caps; QpcaConfig
-# alone checks the run parameters, and sim.ROUNDOFF is the one round-off floor
+# alone checks the run parameters, and sim.ROUNDOFF is the one round-off
+# floor.  A gate has no controls: a controlled-U is a block stack with I in
+# every block but one.  The Newton iteration count follows from the precision
 DELETED = (
     "build_qft_adder",
     "count_filter_gates",
@@ -28,6 +30,9 @@ DELETED = (
     "MAX_EIG_BITS",
     "RunSpec",
     "MIN_OUTCOME_PROB",
+    "controls",
+    "_normalize_controls",
+    "newton_iters",
 )
 
 
@@ -45,4 +50,5 @@ def test_deleted_builders_are_gone():
             importlib.import_module(f"qpcasim.{mod}")
             for mod in ("sim", "builders", "filtering", "pipeline", "cli")
         ]
-        assert not any(hasattr(owner, name) for owner in owners + [qpcasim.Circuit, qpcasim.GateOp])
+        classes = [qpcasim.Circuit, qpcasim.GateOp, qpcasim.FilterParams]
+        assert not any(hasattr(owner, name) for owner in owners + classes)
