@@ -49,10 +49,7 @@ from .sim import (
     StateVector,
     ZeroProbabilityOutcome,
     apply,
-    circuit_unitary,
     hadamard,
-    pauli_x,
-    phase,
     post_select,
     ry,
     run,
@@ -87,7 +84,6 @@ __all__ = [
     "build_filter_unitary",
     "build_phase_estimation",
     "build_state_prep",
-    "circuit_unitary",
     "classical_pca_oracle",
     "cost_baseline",
     "cost_proposed",
@@ -99,8 +95,6 @@ __all__ = [
     "lambda_register_histogram",
     "make_layout",
     "newton_reciprocal",
-    "pauli_x",
-    "phase",
     "post_select",
     "run",
     "run_qpca",

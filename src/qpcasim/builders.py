@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import Circuit, GateOp, _check_unitary, hadamard
+from .sim import Circuit, GateOp, _check_unitary
 
 # Largest |A - A^T| entry accepted from a matrix said to be symmetric, by
 # every entry point: the CLI parser, HermitianInput and PhaseEstimationSpec.
@@ -83,18 +83,16 @@ class PhaseEstimationSpec:
 
 
 @functools.lru_cache
-def _register_gates(qubits: tuple[int, ...]) -> tuple[tuple[GateOp, ...], GateOp]:
-    """The gates that depend only on a register, wired onto ``qubits``: a
-    Hadamard per qubit, and the Fourier gate of the inverse QFT, the kernel
-    ``np.fft.fft`` along the register value with ``qubits[0]`` its most
-    significant bit.
+def _register_gates(qubits: tuple[int, ...]) -> GateOp:
+    """The gate that depends only on a register, wired onto ``qubits``: the
+    Fourier gate of sign 1, the QFT with kernel ``np.fft.ifft`` along the
+    register value and ``qubits[0]`` its most significant bit.
 
-    Built once per register placement and shared, so each is checked once
+    Built once per register placement and shared, so it is checked once
     and, as a gate keeps the inverse ``dagger`` builds, inverted once.  The
-    circuit width is not part of the key: kernel plans are cached per width.
+    circuit width is not part of the key.
     """
-    h = hadamard(0)
-    return tuple(h.remap((q,)) for q in qubits), GateOp(-1, qubits, label="inverse QFT")
+    return GateOp(1, qubits, label="QFT")
 
 
 def build_phase_estimation(
@@ -110,16 +108,22 @@ def build_phase_estimation(
     come out entangled with their eigenvalue register states.  The register
     reads lambda with ``lam_qubits[0]`` as its most significant bit.
 
-    The circuit has n + 4 gates for n = eig_bits: a Hadamard per register
-    qubit; V^T on the targets, V the eigenvectors of A; one diagonal phase
-    gate on register and targets, a (2**(n+k), 1, 1) block stack whose entry
-    (b, k) is exp(2 pi i b lambda_k / 2**n); V; and the Fourier gate of the
-    inverse QFT on the register.  The middle three are sum_b |b><b| (x) U**b
-    with U = exp(2 pi i A / 2**n), the n controlled powers of textbook phase
-    estimation in one pass.  The Hadamards and the Fourier gate depend only
-    on the register; they are built once per register placement and shared.
-    Each call builds and checks V^T and the phase gate; V is V^T's
-    ``dagger``, so a warm call's ``inverse`` builds only the phase gate's.
+    The circuit has 5 gates for any n = eig_bits: the QFT F on the
+    register; V^T on the targets, V the eigenvectors of A; one diagonal
+    phase gate on register and targets, a (2**(n+k), 1, 1) block stack
+    whose entry (b, k) is exp(2 pi i b lambda_k / 2**n); V; and F's dagger,
+    the inverse QFT.  The middle three are sum_b |b><b| (x) U**b with
+    U = exp(2 pi i A / 2**n), the n controlled powers of textbook phase
+    estimation in one pass.  F takes the zero register to the uniform
+    superposition, as the textbook layer of Hadamards does, so the two
+    circuits agree on every input whose register is |0...0>; they differ
+    elsewhere.  The register, then the targets, must be consecutive qubits
+    in ascending order, as the phase gate acts on both.
+
+    F depends only on the register; it is built once per register placement
+    and shared, with its dagger.  Each call builds and checks V^T and the
+    phase gate; V is V^T's ``dagger``, so a warm call's ``inverse`` builds
+    only the phase gate's.
     """
     lam_qubits = tuple(int(q) for q in lam_qubits)
     target_qubits = tuple(int(q) for q in target_qubits)
@@ -136,11 +140,12 @@ def build_phase_estimation(
     if num_qubits is None:
         num_qubits = max(lam_qubits + target_qubits) + 1
 
-    hadamards, fourier = _register_gates(lam_qubits)
+    fourier = _register_gates(lam_qubits)
     to_eigenbasis = GateOp(spec._eigvecs.T, target_qubits, label="V^T")
     phases = np.exp(2j * np.pi * np.outer(np.arange(spec.scale), spec._eigvals) / spec.scale)
     powers = GateOp(phases.reshape(-1, 1, 1), lam_qubits + target_qubits, label="c-U^b")
-    return Circuit(num_qubits, hadamards + (to_eigenbasis, powers, to_eigenbasis.dagger(), fourier))
+    gates = (fourier, to_eigenbasis, powers, to_eigenbasis.dagger(), fourier.dagger())
+    return Circuit(num_qubits, gates)
 
 
 @dataclass(eq=False)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -39,11 +37,10 @@ class RegisterLayout:
     def split(self, index):
         """Register values (ancilla, y, lambda, data) of basis-state indices,
         given as an integer or an integer array."""
-        size = 1 << self.eig_bits
-        rest, x = np.divmod(index, 1 << self.data_qubits)
-        rest, lam = np.divmod(rest, size)
-        anc, y = np.divmod(rest, size)
-        return anc, y, lam, x
+        n, m = self.eig_bits, self.data_qubits
+        reg = (1 << n) - 1
+        x = index & ((1 << m) - 1)
+        return index >> (2 * n + m), (index >> (n + m)) & reg, (index >> m) & reg, x
 
     @property
     def ancilla(self) -> int:

@@ -50,8 +50,10 @@ UNCOMPUTE_ATOL = 1e-9
 # Largest block of 2**(n+m) amplitudes that run_qpca simulates.  From phase
 # estimation on a state holds at most two such blocks for any spectrum; the
 # filter and flip tables (2**n entries) and the phase gate (2**(n+k)) are
-# smaller, and basis indices stay under 44 bits.  A call peaks at 7 to 10
-# blocks of 16 * 2**(n+m) bytes, about 600 MiB at this limit.
+# smaller, and basis indices stay under 44 bits.  A call peaks at 5.1 blocks
+# of 16 * 2**(n+m) bytes (dim 16 at n = 12, dim 256 at n = 6), and at up to
+# 8.6 where its row keys are as large as its rows (dim 2 at n = 20): about
+# 550 MiB at this limit.
 MAX_LIVE_AMPS = 2**22
 
 
@@ -315,6 +317,10 @@ def run_qpca(
 
     success_prob, collapsed = post_select(state, layout.ancilla, 1)
     success_prob = min(success_prob, 1.0)
+    # the state before post-selection is needed only for the sampled draw;
+    # dropping it here keeps its two blocks out of the second estimation
+    raw = sample(state, config.shots, config.seed) if config.mode == "sampled" else None
+    del state
 
     # With ancilla = 1 all mass should sit on clean work registers.
     # Approximate spectra leak some mass outside that block; it is
@@ -340,8 +346,7 @@ def run_qpca(
         expected = None
 
     shots = counts = None
-    if config.mode == "sampled":
-        raw = sample(state, config.shots, config.seed)
+    if raw is not None:
         anc, _, _, x = layout.split(np.fromiter(raw, dtype=np.intp, count=len(raw)))
         hits = np.fromiter(raw.values(), dtype=np.int64, count=len(raw))
         # ancilla-1 shots, whatever the work registers read, per data value

@@ -27,22 +27,24 @@ finiteness and norm checks therefore cost O(live amplitudes), not O(2**Q).
   of index arithmetic, no arithmetic on amplitudes.  The block's rows are
   reordered only to keep the keys ascending.
 * ``post_select``, ``probabilities`` and ``sample`` read the live rows only;
-  ``amps`` builds the dense array on demand, for tests and small states.
+  ``amps`` builds the dense array on demand.
 
 In the pipeline, phase estimation touches only the lambda register and the
 row half of the data register while the ancilla and y register hold one or
 two values, so every stage works on one or two times 2**(n+m) amplitudes.
 
-Fixed cost per gate.  At those sizes a gate costs mostly its set-up.  A
-kernel plan depends only on a gate's wiring and the split, so it is a cached
-function of them: ``_rows_plan`` gives ``_apply_into`` the transpose bringing
-the targets forward and the shapes; ``_keys_plan`` gives ``_permute_keys``
-the targets' bit positions in a row key.  Gates built anew on each call, and
-every inverse, share the plan of the first gate with their wiring.
-``_permute_keys`` reads the target values through one bit matrix of the
-keys, so it makes a fixed number of numpy calls for any wiring.  A gate
-builds its inverse on the first ``dagger`` call and keeps it, so a shared
-gate (the Hadamards and the Fourier gate of a register) is inverted once.
+Targets are a range.  A gate acts on k consecutive qubits, given in
+ascending order, and stores them as (first qubit, count); any other wiring
+is refused.  So a block of rows, viewed as (pre, 2**k, post) with the
+targets in the middle axis, needs no transpose: ``_apply_into`` works on
+that view of the row-major block.  A stack, a stack of 1 x 1 blocks (a
+phase per value) included, multiplies its (pre, B, d, post) view with one
+batched ``matmul`` into a spare buffer of the run, and the two buffers
+swap; a Fourier gate runs the FFT along the middle axis.  A real stack
+multiplies the float64 view of the complex block, whose last axis pairs
+each amplitude's real and imaginary parts, so a real gate costs real
+arithmetic.  A table add reads its target value from a row key with one
+shift and one mask.
 
 A gate acts on its k target qubits alone and holds one of three forms in
 ``GateOp.matrix``:
@@ -52,25 +54,29 @@ A gate acts on its k target qubits alone and holds one of three forms in
   block, which acts on the remaining targets.  A dense unitary is the stack
   of one block.  A uniformly controlled rotation, one rotation per value of
   its control qubits, is one such gate, and so is a controlled-U: I in every
-  block but U in the one its controls select.  State preparation emits one
-  stack per level of its binary tree, and phase estimation one diagonal of
-  1 x 1 blocks, a phase per register value and eigenvector;
+  block but U in the one its controls select.  A real input is kept as
+  float64, any other as complex128.  State preparation emits one real stack
+  per level of its binary tree, and phase estimation the real V^T and V and
+  one diagonal of 1 x 1 blocks, a phase per register value and eigenvector;
 * a sign s = 1 or -1 (a 0-d integer array), the unitary DFT with kernel
-  e^(s 2 pi i jk / 2**k), j and k read with targets[0] as the top bit,
-  applied as ``np.fft.ifft`` (s = 1) or ``np.fft.fft`` (s = -1) along the
-  targets, with ``norm="ortho"``; the inverse is -s.  Phase estimation's
-  inverse QFT is the gate of sign -1 on its register;
+  e^(s 2 pi i jk / 2**k), j and k read with the first target as the top
+  bit, applied as ``np.fft.ifft`` (s = 1) or ``np.fft.fft`` (s = -1) along
+  the targets, with ``norm="ortho"``; the inverse is -s.  Phase estimation
+  opens with the gate of sign 1 on its register and closes with its
+  inverse;
 * a length-2**r integer table T with r < k, the table-controlled add
   (c, lam) -> ((c + T[lam]) mod 2**(k-r), lam): the leading k - r targets
   hold c and the trailing r targets hold lam.  Any integer table is a
   bijection, and the inverse adds -T.  Table-compiled classical blocks (the
   eigenvalue filter, the ancilla flip) use this form, so a 2n-qubit filter
   costs 2**n integers.
+
+A gate builds its inverse on the first ``dagger`` call and keeps it, so a
+shared gate (the Fourier gate of a register) is inverted once.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -140,25 +146,28 @@ class StateVector:
         """The state split at qubit ``top``: the ascending indices, over
         qubits 0 .. top-1, of its live rows, and the (L, 2**(num_qubits-top))
         array of those rows.  Both are read-only; every other row is zero."""
-        if top == self._top:
-            return self._keys, self._block
         keys, block = self._rekey(top)
         keys.setflags(write=False)
         block.setflags(write=False)
         return keys, block
 
     def _rekey(self, top: int) -> tuple[np.ndarray, np.ndarray]:
-        """``rows(top)`` with a new, writable block."""
+        """``rows(top)``: the stored, read-only rows at the stored split, a
+        new, writable block at any other."""
         if not 0 <= top <= self.num_qubits:
             raise ValueError(f"cannot split {self.num_qubits} qubits at qubit {top}")
         keys, block, shift = self._keys, self._block, top - self._top
         if shift == 0:
-            return keys, block.copy()
+            return keys, block
         if shift < 0:  # coarser: sub-rows merge into their row
             shift = -shift
-            merged, row = np.unique(keys >> shift, return_inverse=True)
+            coarse = keys >> shift  # ascending, as the keys are
+            starts = np.empty(keys.size, dtype=bool)
+            starts[:1] = True
+            np.not_equal(coarse[1:], coarse[:-1], out=starts[1:])
+            merged = coarse[starts]
             out = np.zeros((merged.size, 1 << shift, block.shape[1]), dtype=np.complex128)
-            out[row, keys & ((1 << shift) - 1)] = block
+            out[np.cumsum(starts) - 1, keys & ((1 << shift) - 1)] = block
             return merged, out.reshape(merged.size, -1)
         # finer: each row splits into 2**shift sub-rows, and the exactly-zero
         # ones are dropped (NaN is not zero, so its sub-row stays live)
@@ -201,18 +210,19 @@ class StateVector:
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
-def _wiring(targets) -> tuple[int, ...]:
-    """The checked targets tuple of a gate."""
+def _span(targets) -> tuple[int, int]:
+    """(first qubit, count) of a gate's targets, which must be consecutive
+    qubits in ascending order."""
     if isinstance(targets, (int, np.integer)):
         targets = (int(targets),)
     targets = tuple(int(t) for t in targets)
     if not targets:
         raise ValueError("gate needs at least one target qubit")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"repeated target qubit in {targets}")
-    if min(targets) < 0:
+    if targets[0] < 0:
         raise ValueError(f"negative qubit index in {targets}")
-    return targets
+    if targets != tuple(range(targets[0], targets[0] + len(targets))):
+        raise ValueError(f"targets {targets} are not consecutive qubits in ascending order")
+    return targets[0], len(targets)
 
 
 def _conj_transpose(m: np.ndarray) -> np.ndarray:
@@ -234,7 +244,7 @@ def _check_unitary(m: np.ndarray) -> None:
 
 
 class GateOp:
-    """A k-qubit unitary acting on ``targets``.
+    """A k-qubit unitary acting on the consecutive qubits ``targets``.
 
     ``matrix`` is a (B, d, d) stack of unitary blocks with B * d = 2**k,
     selected by the leading targets, and a 2-D 2**k x 2**k unitary is
@@ -244,19 +254,20 @@ class GateOp:
     the sign 1 or -1 of the DFT's exponent (see the module docstring).  A
     one-dimensional integer array selects the table form; only its length
     is checked, and it is stored reduced modulo 2**(k-r).  An integer scalar
-    selects the Fourier form; it must be 1 or -1.  Each block of a stack is
-    checked to be unitary at construction.  ``dagger`` and ``remap`` reuse
-    the checked matrix and check only the wiring.
+    selects the Fourier form; it must be 1 or -1.  A stack is kept as
+    float64 when its input is real, as complex128 otherwise, and each of its
+    blocks is checked to be unitary at construction, in the arithmetic of
+    its dtype.  ``dagger`` reuses the checked matrix.
 
-    Kernel plans are cached by wiring, not kept on the gate; a gate keeps
-    only the inverse its first ``dagger`` builds.
+    ``targets`` must be ascending and consecutive; the gate stores them as
+    ``first`` and ``count``.  It keeps the inverse its first ``dagger``
+    builds.
     """
 
-    __slots__ = ("matrix", "targets", "label", "_lo", "_hi", "_inverse")
+    __slots__ = ("matrix", "first", "count", "label", "_inverse")
 
     def __init__(self, matrix, targets, label: str | None = None):
-        targets = _wiring(targets)
-        k = len(targets)
+        first, k = _span(targets)
         m = np.asarray(matrix)
         if m.ndim == 0 and m.dtype.kind in "iu":
             if m not in (-1, 1):
@@ -267,32 +278,36 @@ class GateOp:
                 raise ValueError(f"table length {m.size} is not a power of two below 2**{k}")
             m = np.mod(m, (1 << k) // m.size).astype(np.intp, copy=False)
         else:
-            m = np.array(matrix, dtype=np.complex128)
+            m = np.array(matrix, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
             if m.ndim == 2:
                 m = m[None]
             if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] * m.shape[1] != 1 << k:
                 raise ValueError(f"matrix shape {m.shape} does not match {k} target qubit(s)")
             _check_unitary(m)
-        self._set(m, targets, label)
+        self._set(m, first, k, label)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray, targets, label) -> "GateOp":
         """A gate on ``matrix`` taken from an already checked gate, or its
-        inverse: the wiring is checked, the matrix is not checked again."""
+        inverse: the targets are checked, the matrix is not checked again."""
         self = cls.__new__(cls)
-        self._set(matrix, _wiring(targets), label)
+        self._set(matrix, *_span(targets), label)
         return self
 
-    def _set(self, matrix: np.ndarray, targets, label) -> None:
+    def _set(self, matrix: np.ndarray, first: int, count: int, label) -> None:
         matrix.setflags(write=False)
         self.matrix = matrix
-        self.targets = targets
+        self.first = first
+        self.count = count
         self.label = label
-        self._lo, self._hi = min(targets), max(targets)
         self._inverse = None
 
+    @property
+    def targets(self) -> tuple[int, ...]:
+        return tuple(range(self.first, self.first + self.count))
+
     def dagger(self) -> "GateOp":
-        """Inverse gate, same wiring: the conjugate transpose of each block,
+        """Inverse gate, same targets: the conjugate transpose of each block,
         the add of -T for a table T, the Fourier gate of the opposite sign.
         Built on the first call and kept; the inverse's ``dagger`` returns
         this gate."""
@@ -301,25 +316,18 @@ class GateOp:
             if m.ndim == 0:
                 inverse = -m
             elif m.ndim == 1:
-                inverse = np.mod(-m, (1 << len(self.targets)) // m.size)
+                inverse = np.mod(-m, (1 << self.count) // m.size)
             else:
                 inverse = _conj_transpose(m)
             self._inverse = GateOp._trusted(inverse, self.targets, self.label)
             self._inverse._inverse = self
         return self._inverse
 
-    def remap(self, qubit_map: Sequence[int]) -> "GateOp":
-        """Rewire the gate through ``qubit_map`` (old index -> new index)."""
-        return GateOp._trusted(self.matrix, tuple(qubit_map[t] for t in self.targets), self.label)
-
     def max_qubit(self) -> int:
-        return self._hi
-
-    def min_qubit(self) -> int:
-        return self._lo
+        return self.first + self.count - 1
 
     def __repr__(self) -> str:
-        name = self.label or f"{1 << len(self.targets)}x{1 << len(self.targets)}"
+        name = self.label or f"{1 << self.count}x{1 << self.count}"
         return f"GateOp({name}, targets={self.targets})"
 
 
@@ -356,12 +364,6 @@ class Circuit:
         """Adjoint circuit: reversed order, each gate replaced by its dagger."""
         return Circuit(self.num_qubits, [op.dagger() for op in reversed(self._ops)])
 
-    def remap(self, qubit_map: Sequence[int], num_qubits: int) -> "Circuit":
-        """Embed into a wider register, sending old qubit i to qubit_map[i]."""
-        if len(qubit_map) != self.num_qubits:
-            raise ValueError("qubit_map length must match circuit width")
-        return Circuit(num_qubits, [op.remap(qubit_map) for op in self._ops])
-
     def __len__(self) -> int:
         return len(self._ops)
 
@@ -369,63 +371,46 @@ class Circuit:
         return iter(self._ops)
 
 
-@functools.cache
-def _rows_plan(targets, matrix_shape, num_qubits: int, top: int) -> tuple:
-    """How ``_apply_into`` views a block for a gate of this wiring and matrix
-    shape at this split: the per-qubit shape of the rows, the transpose
-    moving the targets to the front, and the shape the gate multiplies."""
-    axes = [t - top + 1 for t in targets]  # axis 0 is the row
-    order = tuple(axes + [a for a in range(num_qubits - top + 1) if a not in axes])
-    # a stack multiplies (block, row in block, rest); a Fourier gate (register value, rest)
-    flat = matrix_shape[:2] + (-1,) if matrix_shape else (1 << len(targets), -1)
-    return (-1,) + (2,) * (num_qubits - top), order, flat
+def _apply_into(rows: np.ndarray, spare: np.ndarray | None, num_qubits: int, top: int, op: GateOp):
+    """Apply ``op``, not a table add, to every row of ``rows``.
 
+    ``rows`` is a C-contiguous (R, 2**(num_qubits - top)) complex128 array
+    whose columns index qubits top .. num_qubits-1; ``op`` touches none of
+    the qubits 0 .. top-1.  ``spare`` is None or a writable array of the
+    same shape whose values do not matter.  Returns (result, spare): the
+    array that now holds the rows, and None or an array the next call may
+    take as ``spare``.  ``rows`` is never written: a stack writes ``spare``
+    (allocated if None), a Fourier gate a new array.
 
-def _apply_into(rows: np.ndarray, num_qubits: int, top: int, op: GateOp) -> None:
-    """Apply ``op``, not a table add, in place to every row of ``rows``.
-
-    ``rows`` is a writable (R, 2**(num_qubits - top)) complex128 array whose
-    columns index qubits top .. num_qubits-1; ``op`` touches none of the
-    qubits 0 .. top-1.  Moving the targets to the front is a view of
-    ``rows``, so the amplitudes are copied once, into the (B, d, rest) or
-    (2**k, rest) array the gate acts on.
+    A stack of 1 x 1 blocks goes through ``matmul`` as well: a ufunc
+    multiply broadcasting the phases allocates an iterator buffer of up to
+    128 KiB, as large as two whole blocks at 2**12 amplitudes.
     """
-    gate = op.matrix
-    shape, order, flat = _rows_plan(op.targets, gate.shape, num_qubits, top)
-    sub = rows.reshape(shape).transpose(order)
+    gate, post = op.matrix, 1 << (num_qubits - op.first - op.count)
+    free = rows if rows.flags.writeable else None
     if gate.ndim == 0:
-        new = (np.fft.ifft if gate > 0 else np.fft.fft)(sub.reshape(flat), axis=0, norm="ortho")
-    else:
-        new = gate @ sub.reshape(flat)
-    sub[...] = new.reshape(sub.shape)
-
-
-@functools.cache
-def _keys_plan(targets, top: int) -> tuple:
-    """How ``_permute_keys`` reads and writes a gate of this wiring in a row
-    key split at ``top``: the targets' bit positions, their weights in the
-    target value, their bits in the key, and the mask that clears them.
-    The arrays are read-only."""
-    shifts = top - 1 - np.array(targets, dtype=np.intp)
-    weights = 1 << np.arange(len(targets) - 1, -1, -1, dtype=np.intp)
-    places = 1 << shifts
-    for a in (shifts, weights, places):
-        a.setflags(write=False)
-    return shifts, weights, places, ~int(places.sum())
+        view = rows.reshape(-1, 1 << op.count, post)
+        new = (np.fft.ifft if gate > 0 else np.fft.fft)(view, axis=1, norm="ortho")
+        return new.reshape(rows.shape), free
+    out = np.empty_like(rows) if spare is None else spare
+    src, dst = rows, out
+    if gate.dtype == np.float64:  # a real gate on the real and imaginary parts alike
+        src, dst, post = rows.view(np.float64), out.view(np.float64), 2 * post
+    blocks, d = gate.shape[:2]
+    np.matmul(gate, src.reshape(-1, blocks, d, post), out=dst.reshape(-1, blocks, d, post))
+    return out, free
 
 
 def _permute_keys(keys: np.ndarray, top: int, op: GateOp) -> np.ndarray:
     """Row keys after the table add ``op``, all of whose qubits lie in
     qubits 0 .. top-1: a row moves from target value c * 2**r + lam to
-    (c + T[lam]) * 2**r + lam, modulo 2**k.  O(len(keys)) in a fixed number
-    of numpy calls, through the (len(keys), k) matrix of the target bits; no
-    amplitude moves."""
-    shifts, weights, places, clear = _keys_plan(op.targets, top)
-    table = op.matrix
-    value = ((keys[:, None] >> shifts) & 1) @ weights
-    # the carry out of the k target bits is dropped below: the sum is mod 2**(k-r)
-    value = value + table[value & (table.size - 1)] * table.size
-    return (keys & clear) | (((value[:, None] & weights) != 0) @ places)
+    (c + T[lam]) * 2**r + lam, modulo 2**k.  O(len(keys)) of shifts and
+    masks; no amplitude moves."""
+    table, shift, mask = op.matrix, top - op.first - op.count, (1 << op.count) - 1
+    value = (keys >> shift) & mask
+    # the carry out of the k target bits is masked off: the sum is mod 2**(k-r)
+    value += table[value & (table.size - 1)] * table.size
+    return (keys & ~(mask << shift)) | ((value & mask) << shift)
 
 
 def _evolve(state: StateVector, ops: Sequence[GateOp]) -> StateVector:
@@ -433,14 +418,14 @@ def _evolve(state: StateVector, ops: Sequence[GateOp]) -> StateVector:
 
     The gates go in runs of one kind.  A run of table adds moves every
     qubit it touches into the key and maps the keys; any other run is
-    re-keyed to its lowest qubit and applied to the block.  ``state`` is
-    never written.
+    re-keyed to its lowest qubit and applied to the block, through two
+    buffers that swap.  ``state`` is never written.
     """
     q = state.num_qubits
     for table_adds, run_ops in itertools.groupby(ops, lambda op: op.matrix.ndim == 1):
         run_ops = list(run_ops)
         if table_adds:
-            top = max([state._top] + [op.max_qubit() + 1 for op in run_ops])
+            top = max([state._top] + [op.first + op.count for op in run_ops])
             keys, block = state.rows(top)
             for op in run_ops:
                 keys = _permute_keys(keys, top, op)
@@ -448,10 +433,13 @@ def _evolve(state: StateVector, ops: Sequence[GateOp]) -> StateVector:
                 order = np.argsort(keys)
                 keys, block = keys[order], block[order]
         else:
-            top = min(op.min_qubit() for op in run_ops)
+            top = min(op.first for op in run_ops)
             keys, block = state._rekey(top)
+            spare = None
             for op in run_ops:
-                _apply_into(block, q, top, op)
+                if op.matrix.ndim == 0:
+                    spare = None  # freed before the FFT allocates its output
+                block, spare = _apply_into(block, spare, q, top, op)
         state = StateVector._owned(q, top, keys, block)
     return state
 
@@ -519,32 +507,16 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     return {int(i): int(c) for i, c in zip(index, counts[hit])}
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2**Q x 2**Q matrix of a circuit, built column by column."""
-    dim = 1 << circuit.num_qubits
-    cols = [run(StateVector.basis(circuit.num_qubits, i), circuit).amps for i in range(dim)]
-    return np.column_stack(cols)
-
-
 # -- standard gates ----------------------------------------------------------
 
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
 def hadamard(qubit: int) -> GateOp:
     return GateOp(_H, (qubit,), label="H")
 
 
-def pauli_x(qubit: int) -> GateOp:
-    return GateOp(_X, (qubit,), label="X")
-
-
 def ry(theta: float, qubit: int) -> GateOp:
     """Real rotation [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return GateOp([[c, -s], [s, c]], (qubit,), label=f"Ry({theta:.4f})")
-
-
-def phase(theta: float, qubit: int) -> GateOp:
-    return GateOp([[1, 0], [0, np.exp(1j * theta)]], (qubit,), label=f"P({theta:.4f})")

@@ -11,30 +11,112 @@ from fractions import Fraction
 
 import numpy as np
 
-from qpcasim import Circuit, GateOp, circuit_unitary, hadamard, phase, ry, state_prep_tree
+from qpcasim import Circuit, GateOp, StateVector, hadamard, ry, run, state_prep_tree
 
 
-def controlled(u, controls, targets, label=None) -> GateOp:
+class Wired:
+    """A gate matrix, in any ``GateOp`` form, on qubits in any order.
+
+    The simulator runs gates on ascending, consecutive targets only; the
+    textbook references below also need other wiring (a controlled phase
+    whose control sits below its target, a SWAP of distant qubits).  A
+    ``Wired`` gate is never simulated: ``dense_operator`` expands it, and
+    ``Circuit`` holds it as it holds a ``GateOp``.  ``dagger`` inverts a
+    block stack only.
+    """
+
+    def __init__(self, matrix, targets, label=None):
+        m = np.asarray(matrix)
+        self.matrix = m[None] if m.ndim == 2 else m
+        self.targets = tuple(int(t) for t in targets)
+        self.label = label
+
+    def dagger(self) -> "Wired":
+        return Wired(np.swapaxes(self.matrix.conj(), -1, -2), self.targets, self.label)
+
+    def max_qubit(self) -> int:
+        return max(self.targets)
+
+
+def is_range(targets) -> bool:
+    """Whether ``targets`` are ascending, consecutive qubits."""
+    targets = tuple(targets)
+    return targets == tuple(range(targets[0], targets[0] + len(targets)))
+
+
+def wired(matrix, targets, label=None):
+    """A ``GateOp`` when ``targets`` are ascending and consecutive, else a
+    ``Wired`` gate."""
+    targets = tuple(int(t) for t in targets)
+    return GateOp(matrix, targets, label) if is_range(targets) else Wired(matrix, targets, label)
+
+
+def remap(op, qubit_map):
+    """``op`` with target t moved to qubit ``qubit_map[t]``.  A ``GateOp``
+    moved onto a range stays a ``GateOp`` on its checked matrix: only its
+    new targets are checked."""
+    targets = tuple(int(qubit_map[t]) for t in op.targets)
+    if isinstance(op, GateOp) and is_range(targets):
+        return GateOp._trusted(op.matrix, targets, op.label)
+    return Wired(op.matrix, targets, op.label)
+
+
+def remap_circuit(circuit, qubit_map, num_qubits) -> Circuit:
+    """``circuit`` embedded into ``num_qubits`` qubits, old qubit i sent to
+    ``qubit_map[i]``."""
+    if len(qubit_map) != circuit.num_qubits:
+        raise ValueError("qubit_map length must match circuit width")
+    return Circuit(num_qubits, [remap(op, qubit_map) for op in circuit])
+
+
+def pauli_x(qubit: int) -> GateOp:
+    return GateOp([[0, 1], [1, 0]], (qubit,), label="X")
+
+
+def phase(theta: float, qubit: int) -> GateOp:
+    return GateOp([[1, 0], [0, np.exp(1j * theta)]], (qubit,), label=f"P({theta:.4f})")
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Full 2**Q x 2**Q matrix of a circuit as the simulator runs it, built
+    column by column."""
+    dim = 1 << circuit.num_qubits
+    cols = [run(StateVector.basis(circuit.num_qubits, i), circuit).amps for i in range(dim)]
+    return np.column_stack(cols)
+
+
+def dense_unitary(circuit: Circuit) -> np.ndarray:
+    """Full 2**Q x 2**Q matrix of a circuit of ``GateOp`` and ``Wired``
+    gates, as the product of their ``dense_operator`` matrices."""
+    out = np.eye(1 << circuit.num_qubits, dtype=complex)
+    for op in circuit:
+        out = dense_operator(op, circuit.num_qubits) @ out
+    return out
+
+
+def controlled(u, controls, targets, label=None):
     """Controlled-``u`` as one block stack on the control qubits, then
     ``targets``: ``u`` in the block that the polarities of ``controls``,
     (qubit, polarity) pairs, spell with the first control as the top bit,
-    and I in every other block.  Polarity 1 fires on |1>, polarity 0 on |0>."""
+    and I in every other block.  Polarity 1 fires on |1>, polarity 0 on |0>.
+    A ``GateOp`` when controls and targets together are ascending and
+    consecutive, else a ``Wired`` gate."""
     u = np.asarray(u, dtype=complex)
     fire = 0
     for _, pol in controls:
         fire = 2 * fire + pol
     blocks = np.array([np.eye(len(u), dtype=complex)] * (1 << len(controls)))
     blocks[fire] = u
-    return GateOp(blocks, tuple(q for q, _ in controls) + tuple(targets), label)
+    return wired(blocks, tuple(q for q, _ in controls) + tuple(targets), label)
 
 
-def cphase(theta: float, control: int, target: int) -> GateOp:
-    return controlled(phase(theta, target).matrix[0], ((control, 1),), (target,))
+def cphase(theta: float, control: int, target: int):
+    return controlled(phase(theta, 0).matrix[0], ((control, 1),), (target,))
 
 
-def swap(a: int, b: int) -> GateOp:
+def swap(a: int, b: int):
     m = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
-    return GateOp(m, (a, b), label="SWAP")
+    return wired(m, (a, b), label="SWAP")
 
 
 @functools.lru_cache
@@ -73,7 +155,7 @@ def semiclassical_qft_gates(num_qubits: int) -> tuple:
         blocks[:, 0, :] = s
         blocks[:, 1, 0] = s * phases
         blocks[:, 1, 1] = -s * phases
-        gates.append(GateOp(blocks, tuple(range(i + 1, n)) + (i,), label=f"QFT(qubit {i})"))
+        gates.append(wired(blocks, tuple(range(i + 1, n)) + (i,), label=f"QFT(qubit {i})"))
     return tuple(gates)
 
 
@@ -81,7 +163,8 @@ def build_qft(num_qubits: int) -> Circuit:
     """Fourier transform circuit whose matrix is F[j,k] = w^(jk)/sqrt(N):
     the n semiclassical QFT gates, then a dense bit reversal for n > 1.
     The gates are shared; the circuit is new on each call, so callers may
-    extend it."""
+    extend it.  For n > 1 some of its gates are ``Wired``: expand it with
+    ``dense_unitary``."""
     circ = Circuit(num_qubits, semiclassical_qft_gates(num_qubits))
     if num_qubits > 1:
         circ.append(bit_reversal(num_qubits))
@@ -125,11 +208,12 @@ def simulated_matrix(op) -> np.ndarray:
     ``circuit_unitary`` of the gate moved onto qubits 0 .. k-1, target i to
     qubit i."""
     wiring = {t: i for i, t in enumerate(op.targets)}
-    return circuit_unitary(Circuit(len(op.targets), [op.remap(wiring)]))
+    return circuit_unitary(Circuit(len(op.targets), [remap(op, wiring)]))
 
 
 def dense_operator(op, num_qubits: int) -> np.ndarray:
-    """Full 2**Q x 2**Q matrix of a GateOp, by basis-state enumeration."""
+    """Full 2**Q x 2**Q matrix of a GateOp or a ``Wired`` gate, by
+    basis-state enumeration."""
     dim = 1 << num_qubits
     k = len(op.targets)
     matrix = gate_matrix(op)
@@ -189,7 +273,9 @@ def phase_estimation_reference(spec, lam_qubits, target_qubits, num_qubits=None)
     """Textbook phase estimation: a Hadamard on each register qubit, one
     controlled exp(2 pi i A 2**(n-1-i) / 2**n) per register qubit i, then the
     inverse of ``qft_reference`` on the register.  ``build_phase_estimation``
-    equals this circuit."""
+    equals this circuit on every input whose register is |0...0>.  Its
+    controlled gates and SWAPs are ``Wired``: expand it with
+    ``dense_unitary``."""
     lam_qubits, target_qubits = tuple(lam_qubits), tuple(target_qubits)
     if num_qubits is None:
         num_qubits = max(lam_qubits + target_qubits) + 1
@@ -199,15 +285,23 @@ def phase_estimation_reference(spec, lam_qubits, target_qubits, num_qubits=None)
         circ.append(hadamard(lq))
     for i, lq in enumerate(lam_qubits):
         circ.append(controlled(exp_matrices(spec, (n - 1 - i,))[0], ((lq, 1),), target_qubits))
-    circ.extend(qft_reference(n).inverse().remap(lam_qubits, num_qubits))
+    circ.extend(remap_circuit(qft_reference(n).inverse(), lam_qubits, num_qubits))
     return circ
+
+
+def pe_middle(pe) -> tuple:
+    """Phase estimation's V^T, phase gate and V, found by label: V is V^T's
+    dagger and keeps its label."""
+    to_eigen, from_eigen = [op for op in pe if op.label == "V^T"]
+    (powers,) = [op for op in pe if op.label == "c-U^b"]
+    return to_eigen, powers, from_eigen
 
 
 def pe_powers(pe, n: int) -> np.ndarray:
     """The (2**n, d, d) stack of V D_b V^T for every register value b, read
-    off phase estimation's V^T, phase gate and V, its ops[n:n+3]: the
+    off phase estimation's V^T, phase gate and V (``pe_middle``): the
     unitary phase estimation applies to the targets when the register holds b."""
-    to_eigen, powers, from_eigen = (op.matrix for op in pe.ops[n : n + 3])
+    to_eigen, powers, from_eigen = (op.matrix for op in pe_middle(pe))
     phases = powers.reshape(1 << n, -1)
     return (from_eigen * phases[:, None, :]) @ to_eigen
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    circuit_unitary,
     filter_permutation_matrix,
     gate_matrix,
     newton_reciprocal_fraction,
@@ -20,7 +21,6 @@ from qpcasim import (
     apply,
     build_filter_table,
     build_filter_unitary,
-    circuit_unitary,
     cost_proposed,
     default_newton_iters,
     exact_shrink_table,

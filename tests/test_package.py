@@ -4,16 +4,21 @@ import qpcasim
 
 # builders no pipeline path ran; the filter's gate budget lives in
 # cost_proposed(n, m).per_block["filter"], the exponentials are
-# V D_b V^T of build_phase_estimation(...).ops[n:n+3].  The DFT (build_qft),
+# V D_b V^T of build_phase_estimation(...).ops[1:4].  The DFT (build_qft),
 # its semiclassical gates, the exponential stack (_exp_matrices), swap and
 # cphase are test references now (tests/helpers.py); circuits concatenate
 # as Circuit(n, a.ops + b.ops), and state prep checks its blocks without
-# GateOp.stack.  A gate keeps the inverse its first dagger builds, and
-# kernel plans are cached by wiring, not kept on the gate.  One size limit,
+# GateOp.stack.  A gate keeps the inverse its first dagger builds, and no
+# kernel plan.  One size limit,
 # pipeline.MAX_LIVE_AMPS, replaces the qubit and eig-bits caps; QpcaConfig
 # alone checks the run parameters, and sim.ROUNDOFF is the one round-off
 # floor.  A gate has no controls: a controlled-U is a block stack with I in
-# every block but one.  The Newton iteration count follows from the precision
+# every block but one.  The Newton iteration count follows from the precision.
+# A gate's targets are a range of qubits: the kernel needs no transpose plan
+# or bit matrix, GateOp.first replaces min_qubit, and any other wiring,
+# remap included, is a test reference (tests/helpers.py), as are
+# circuit_unitary, pauli_x and phase.  Phase estimation opens with a
+# Fourier gate, so builders needs no Hadamard.
 DELETED = (
     "build_qft_adder",
     "count_filter_gates",
@@ -33,6 +38,14 @@ DELETED = (
     "controls",
     "_normalize_controls",
     "newton_iters",
+    "remap",
+    "circuit_unitary",
+    "pauli_x",
+    "phase",
+    "_rows_plan",
+    "_keys_plan",
+    "_wiring",
+    "min_qubit",
 )
 
 
@@ -52,3 +65,4 @@ def test_deleted_builders_are_gone():
         ]
         classes = [qpcasim.Circuit, qpcasim.GateOp, qpcasim.FilterParams]
         assert not any(hasattr(owner, name) for owner in owners + classes)
+    assert not hasattr(importlib.import_module("qpcasim.builders"), "hadamard")

@@ -353,6 +353,37 @@ class TestRunQpca:
         with pytest.warns(SpectralPrecisionWarning):
             run_qpca(hin, QpcaConfig(tau=1.5, n_bits=2))
 
+    def test_non_integer_spectrum_keeps_its_recorded_results(self):
+        # spectrum (5.3, 3.7, 2.2, 0.6) at tau 2.9, n = 4, exact mode: the
+        # figures recorded when phase estimation opened with a Hadamard
+        # layer.  The QFT that replaced it agrees with that layer on the
+        # zero register PE1 starts from, and the second read's histogram
+        # does not depend on which unitary phase estimation is
+        hin = HermitianInput.from_matrix(
+            matrix_with_spectrum(np.random.default_rng(7), [5.3, 3.7, 2.2, 0.6])
+        )
+        with pytest.warns(SpectralPrecisionWarning):
+            result = run_qpca(hin, QpcaConfig(tau=2.9, n_bits=4))
+        amps = [
+            0.05599475997578, -0.03394521719344, 0.0019712575503, -0.1282197119424,
+            -0.03394521719344, 0.4299409732916, 0.3791931441007, 0.06188912359843,
+            0.001971257550301, 0.3791931441007, 0.4485325582703, -0.1278363082464,
+            -0.1282197119424, 0.06188912359843, -0.1278363082464, 0.4977161063093,
+        ]
+        histogram = {
+            3: 0.06088089348227, 4: 0.273174363133, 5: 0.5156065214584,
+            6: 0.09745390777769, 7: 0.01879982982097, 8: 0.008539605257064,
+            9: 0.005277321944819, 10: 0.003875943244662, 11: 0.003212257003722,
+            12: 0.002937038183606, 13: 0.002940385214324, 14: 0.003240973251598,
+            15: 0.004060960227856,
+        }
+        assert abs(result.fidelity - 0.9993502412896594) < 1e-10
+        assert abs(result.success_prob - 0.8791955838591201) < 1e-10
+        assert np.max(np.abs(result.output_amps - amps)) < 1e-10
+        assert result.lambda_histogram.keys() == histogram.keys()
+        for value, mass in histogram.items():
+            assert abs(result.lambda_histogram[value] - mass) < 1e-10, value
+
     def test_wide_register_memory(self):
         # dim 4 at n = 6 is 17 qubits, 2 MiB per state copy; the filter and
         # flip are table adds, so no 4096 x 4096 matrix (268 MB) is built

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    circuit_unitary,
     controlled,
     cphase,
     dense_operator,
     dft_matrix,
     gate_matrix,
+    pauli_x,
     random_state,
     random_unitary,
+    remap,
+    remap_circuit,
     swap,
 )
 from qpcasim import (
@@ -23,9 +27,7 @@ from qpcasim import (
     ZeroProbabilityOutcome,
     apply,
     build_state_prep,
-    circuit_unitary,
     hadamard,
-    pauli_x,
     post_select,
     run,
     ry,
@@ -35,6 +37,12 @@ from qpcasim import (
 from qpcasim.sim import ROUNDOFF
 
 X = np.array([[0, 1], [1, 0]])
+
+
+def _run_of(rng, k, lo, hi):
+    """k consecutive qubits, ascending, drawn uniformly from qubits lo .. hi-1."""
+    first = int(rng.integers(lo, hi - k + 1))
+    return tuple(range(first, first + k))
 
 
 class TestStateVector:
@@ -97,8 +105,35 @@ class TestGateOp:
             GateOp(np.eye(4), (0,))
 
     def test_rejects_repeated_target(self):
-        with pytest.raises(ValueError, match="repeated"):
+        with pytest.raises(ValueError, match="consecutive"):
             GateOp(np.eye(4), (0, 0))
+
+    def test_rejects_targets_that_are_not_an_ascending_range(self):
+        # gaps and descending order are refused in every form, also on the
+        # trusted path a dagger takes
+        for targets in ((0, 2), (1, 0), (0, 1, 3), (2, 1, 0), (0, 2, 1)):
+            k = len(targets)
+            for gate in (np.eye(1 << k), np.arange(1 << (k - 1)), 1):
+                with pytest.raises(ValueError, match="consecutive"):
+                    GateOp(gate, targets)
+            with pytest.raises(ValueError, match="consecutive"):
+                GateOp._trusted(np.eye(1 << k)[None], targets, None)
+        op = GateOp(np.eye(8), range(2, 5))
+        assert (op.first, op.count, op.targets) == (2, 3, (2, 3, 4))
+        assert op.dagger().targets == (2, 3, 4)
+
+    def test_real_input_is_kept_real(self):
+        # a real (or integer) matrix is stored as float64 and checked in real
+        # arithmetic; a complex one as complex128, even with zero imaginary parts
+        checked = []
+        real = np.array([[0.6, -0.8], [0.8, 0.6]])
+        for gate, dtype in ((real, np.float64), (X, np.float64), (real + 0j, np.complex128)):
+            op = GateOp(gate, 0)
+            assert op.matrix.dtype == dtype and op.dagger().matrix.dtype == dtype
+            checked.append(op)
+        assert np.array_equal(checked[0].dagger().matrix[0], real.T)
+        with pytest.raises(NonUnitaryMatrixError):
+            GateOp(np.array([[1.0, 0.0], [0.0, 1.5]]), 0)
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError, match="negative"):
@@ -166,7 +201,7 @@ class TestGateOp:
 
     def test_gather_map_dagger_inverts(self):
         rng = np.random.default_rng(6)
-        op = GateOp(rng.integers(-20, 20, size=4), (4, 1, 2, 0))
+        op = GateOp(rng.integers(-20, 20, size=4), (1, 2, 3, 4))
         inv = op.dagger()
         assert inv.targets == op.targets
         assert np.array_equal((op.matrix + inv.matrix) % 4, np.zeros(4))
@@ -183,15 +218,14 @@ class TestGateOp:
 
     def test_block_gate_and_dagger_match_dense_operator(self):
         # random block stacks of every split of k targets into (block
-        # selectors, acted-on qubits), on shuffled wires
+        # selectors, acted-on qubits), on every run of k qubits
         rng = np.random.default_rng(59)
         for _ in range(40):
             q = int(rng.integers(1, 6))
             k = int(rng.integers(1, min(3, q) + 1))
             d = 1 << int(rng.integers(0, k + 1))
-            wires = [int(w) for w in rng.permutation(q)]
             blocks = np.stack([random_unitary(rng, d) for _ in range((1 << k) // d)])
-            op = GateOp(blocks, tuple(wires[:k]))
+            op = GateOp(blocks, _run_of(rng, k, 0, q))
             inv = op.dagger()
             assert inv.matrix.shape == blocks.shape
             vec = random_state(rng, q)
@@ -220,24 +254,24 @@ class TestGateOp:
         defect = sim._unitarity_defect
         monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checks.append(1) or defect(m))
         rng = np.random.default_rng(7)
-        op = controlled(random_unitary(rng, 4), ((2, 0),), (0, 1))
-        inv = op.dagger().remap([3, 1, 0])
+        op = controlled(random_unitary(rng, 4), ((0, 0),), (1, 2))
+        inv = remap(op.dagger(), [1, 2, 3])
         assert len(checks) == 1
-        assert inv.targets == (0, 3, 1)
+        assert inv.targets == (1, 2, 3)
         assert not inv.matrix.flags.writeable
         assert np.max(np.abs(inv.matrix @ op.matrix - np.eye(4))) < 1e-12
-        # the wiring of a remapped gate is still checked
-        with pytest.raises(ValueError, match="repeated"):
-            op.remap([1, 1, 0])
+        # the targets of a gate on a checked matrix are still checked
+        with pytest.raises(ValueError, match="consecutive"):
+            GateOp._trusted(op.matrix, (1, 1, 0), op.label)
         with pytest.raises(ValueError, match="negative"):
-            op.remap([0, 1, -1])
+            GateOp._trusted(op.matrix, (-1, 0, 1), op.label)
 
     def test_dagger_is_built_once_and_kept(self):
         # the first dagger builds the inverse and the gate keeps it; the
         # inverse's dagger is the gate itself
         rng = np.random.default_rng(11)
         for gate in (random_unitary(rng, 4), np.array([1]), np.stack([np.eye(2)] * 2), -1):
-            op = GateOp(gate, (2, 0))
+            op = GateOp(gate, (0, 1))
             inv = op.dagger()
             assert op.dagger() is inv and inv.dagger() is op and inv is not op
             if np.ndim(gate) == 1:
@@ -302,25 +336,23 @@ class TestApply:
         for _ in range(40):
             q = int(rng.integers(1, 6))
             k = int(rng.integers(1, min(3, q) + 1))
-            wires = list(rng.permutation(q))
-            targets = tuple(wires[:k])
-            n_ctrl = int(rng.integers(0, len(wires[k:]) + 1))
-            controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
-            op = controlled(random_unitary(rng, 1 << k), controls, targets)
+            n_ctrl = int(rng.integers(0, q - k + 1))
+            wires = _run_of(rng, n_ctrl + k, 0, q)
+            controls = tuple((w, int(rng.integers(0, 2))) for w in wires[:n_ctrl])
+            op = controlled(random_unitary(rng, 1 << k), controls, wires[n_ctrl:])
             vec = random_state(rng, q)
             got = apply(StateVector(vec), op).amps
             want = dense_operator(op, q) @ vec
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_gather_map_matches_dense_operator(self):
-        # random table adds on shuffled wires against the add's matrix
+        # random table adds on every run of qubits against the add's matrix
         # expanded by basis enumeration
         rng = np.random.default_rng(43)
         for _ in range(40):
             q = int(rng.integers(1, 6))
             k = int(rng.integers(1, min(3, q) + 1))
-            wires = list(rng.permutation(q))
-            op = GateOp(_random_table(rng, k), tuple(wires[:k]))
+            op = GateOp(_random_table(rng, k), _run_of(rng, k, 0, q))
             vec = random_state(rng, q)
             got = apply(StateVector(vec), op).amps
             want = dense_operator(op, q) @ vec
@@ -338,11 +370,11 @@ class TestApply:
         entries = st.integers(-3 * mod, 3 * mod)
         table = data.draw(st.lists(entries, min_size=1 << r, max_size=1 << r), label="table")
         q = data.draw(st.integers(k, k + 2), label="qubits")
-        wires = data.draw(st.permutations(range(q)))
-        op = GateOp(np.array(table), tuple(wires[:k]))
+        first = data.draw(st.integers(0, q - k), label="first")
+        op = GateOp(np.array(table), range(first, first + k))
         full = dense_operator(op, q)
         vec = random_state(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), q)
-        h = hadamard(wires[-1])
+        h = hadamard(data.draw(st.integers(0, q - 1), label="hadamard"))
         assert np.max(np.abs(apply(StateVector(vec), op).amps - full @ vec)) < 1e-12
         got = run(StateVector(vec), Circuit(q, [h, op])).amps
         assert np.max(np.abs(got - full @ dense_operator(h, q) @ vec)) < 1e-12
@@ -353,16 +385,16 @@ class TestApply:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_fourier_gate_matches_the_dft(self, data):
-        # k = 1-6 targets on shuffled wires: the
+        # k = 1-6 targets on any run of qubits: the
         # gate is the unitary DFT with kernel e^(-2 pi i jk / 2**k), targets[0]
         # the top bit of j and k, and its dagger the forward DFT, against the
         # DFT written out element by element; alone and after a dense gate
         k = data.draw(st.integers(1, 6), label="k")
         q = data.draw(st.integers(k, k + 2), label="qubits")
-        wires = data.draw(st.permutations(range(q)))
-        op = GateOp(-1, tuple(wires[:k]))
+        first = data.draw(st.integers(0, q - k), label="first")
+        op = GateOp(-1, range(first, first + k))
         vec = random_state(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), q)
-        h = hadamard(wires[-1])
+        h = hadamard(data.draw(st.integers(0, q - 1), label="hadamard"))
         for gate, dft in ((op, dft_matrix(k).conj()), (op.dagger(), dft_matrix(k))):
             full = dense_operator(GateOp(dft, gate.targets), q)
             assert np.max(np.abs(apply(StateVector(vec), gate).amps - full @ vec)) < 1e-12
@@ -387,7 +419,7 @@ class TestApply:
         rng = np.random.default_rng(19)
         vec = random_state(rng, 4)
         s = StateVector(vec)
-        op = controlled(random_unitary(rng, 4), ((1, 0),), (2, 0))
+        op = controlled(random_unitary(rng, 4), ((0, 0),), (1, 2))
         apply(s, op)
         run(s, Circuit(4, [op, controlled(X, ((2, 1),), (3,)), op.dagger()]))
         assert np.array_equal(s.amps, vec)
@@ -409,17 +441,19 @@ def _random_table(rng, k):
 
 
 def _random_op(rng, wires, forms=("dense", "table", "block")):
-    """A gate of one of ``forms`` on 1-3 of ``wires``: a dense unitary,
-    controlled with mixed polarities by some of the rest (``controlled``), a
-    table add, a block stack or a Fourier gate."""
-    wires = [int(w) for w in rng.permutation(wires)]
-    k = int(rng.integers(1, min(3, len(wires)) + 1))
-    targets = tuple(wires[:k])
+    """A gate of one of ``forms`` on 1-3 consecutive qubits of the range
+    ``wires``: a dense unitary, controlled with mixed polarities by some of
+    the qubits just above it (``controlled``), a table add, a block stack or
+    a Fourier gate."""
+    lo, hi = wires[0], wires[-1] + 1
+    k = int(rng.integers(1, min(3, hi - lo) + 1))
     form = forms[int(rng.integers(0, len(forms)))]
     if form == "dense":
-        n_ctrl = int(rng.integers(0, len(wires) - k + 1))
-        controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
-        return controlled(random_unitary(rng, 1 << k), controls, targets)
+        n_ctrl = int(rng.integers(0, hi - lo - k + 1))
+        run_of = _run_of(rng, n_ctrl + k, lo, hi)
+        controls = tuple((w, int(rng.integers(0, 2))) for w in run_of[:n_ctrl])
+        return controlled(random_unitary(rng, 1 << k), controls, run_of[n_ctrl:])
+    targets = _run_of(rng, k, lo, hi)
     if form == "table":
         gate = _random_table(rng, k)
     elif form == "block":
@@ -566,11 +600,10 @@ class TestLiveRowState:
             else:
                 ops = []
                 for _ in range(int(rng.integers(1, 4))):
-                    wires = [int(w) for w in rng.permutation(q)]
                     k = int(rng.integers(1, min(3, q) + 1))
-                    ops.append(GateOp(_random_table(rng, k), tuple(wires[:k])))
+                    ops.append(GateOp(_random_table(rng, k), _run_of(rng, k, 0, q)))
                 hi = max(op.max_qubit() for op in ops)
-                lo = min(op.min_qubit() for op in ops)
+                lo = min(op.first for op in ops)
                 kinds.add("key" if hi < s._top else "block" if lo >= s._top else "across")
             want = dense
             for op in ops:
@@ -582,19 +615,19 @@ class TestLiveRowState:
                 assert np.max(np.abs(apply(s, ops[0]).amps - want)) < 1e-12
         assert kinds == {"key", "across", "block"}
 
-    def test_one_gate_across_splits_keeps_a_plan_per_split(self):
+    def test_one_gate_runs_at_every_split(self):
         # the same gate objects run at several (num_qubits, top) pairs, in
-        # both kernels, in alternation: a plan cached for one split must
-        # never be used at another
+        # both kernels, in alternation: nothing a gate keeps may depend on
+        # the split it last ran at
         rng = np.random.default_rng(83)
         dense_u = random_unitary(rng, 4)
         blocks = np.stack([random_unitary(rng, 2) for _ in range(2)])
 
         def gates():
             return (
-                controlled(dense_u, ((4, 0),), (3, 5)),
-                GateOp(blocks, (4, 3)),
-                GateOp(np.array([1, -2]), (5, 3, 4)),
+                controlled(dense_u, ((3, 0),), (4, 5)),
+                GateOp(blocks, (3, 4)),
+                GateOp(np.array([1, -2]), (3, 4, 5)),
             )
 
         dense_op, block_op, map_op = gates()
@@ -614,18 +647,40 @@ class TestLiveRowState:
                     s = StateVector._owned(q, top, keys.copy(), block.copy())
                     want = dense_operator(map_op, q) @ s.amps
                     assert np.max(np.abs(apply(s, map_op).amps - want)) < 1e-12
-        # plans are cached by wiring: a second gate built with the same
-        # wiring, and every inverse, reuse them and plan nothing anew
-        rows, keys = sim._rows_plan.cache_info(), sim._keys_plan.cache_info()
+        # a second gate built with the same targets, and every inverse
         for op in gates():
             for q in (6, 7, 8):
                 s = StateVector(random_state(rng, q))
                 got = run(s, Circuit(q, [hadamard(2), op, op.dagger(), hadamard(2)])).amps
                 assert np.max(np.abs(got - s.amps)) < 1e-12
-        assert sim._rows_plan.cache_info().misses == rows.misses
-        assert sim._keys_plan.cache_info().misses == keys.misses
-        assert sim._rows_plan.cache_info().hits > rows.hits
-        assert sim._keys_plan.cache_info().hits > keys.hits
+
+    def test_real_stack_matches_its_complex_copy(self):
+        # a float64 stack multiplies the float64 view of the rows, its
+        # complex128 copy the complex rows: the same amplitudes, for stacks
+        # of 1 x 1 blocks, of small blocks and of one dense block, on
+        # complex sparse states at every split, alone and between complex
+        # gates in one run
+        rng = np.random.default_rng(89)
+        sizes = set()
+        for _ in range(60):
+            q = int(rng.integers(2, 8))
+            s, dense = _sparse_state(rng, q)
+            k = int(rng.integers(1, min(4, q) + 1))
+            d = 1 << int(rng.integers(0, k + 1))
+            sizes.add("1 x 1" if d == 1 else "dense" if d == 1 << k else "blocks")
+            real = np.stack(
+                [np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range((1 << k) // d)]
+            )
+            targets = _run_of(rng, k, 0, q)
+            a, b = GateOp(real, targets), GateOp(real.astype(complex), targets)
+            assert a.matrix.dtype == np.float64 and b.matrix.dtype == np.complex128
+            fourier = GateOp(1, _run_of(rng, k, 0, q))
+            want = dense_operator(b, q) @ dense
+            assert np.max(np.abs(apply(s, a).amps - want)) < 1e-12
+            assert np.max(np.abs(apply(s, a).amps - apply(s, b).amps)) < 1e-14
+            got = run(s, Circuit(q, [a, fourier, a.dagger()])).amps
+            assert np.max(np.abs(got - run(s, Circuit(q, [b, fourier, b.dagger()])).amps)) < 1e-14
+        assert sizes == {"1 x 1", "blocks", "dense"}
 
     def test_key_permutation_moves_no_amplitude_value(self):
         # a table add inside the key only relabels rows
@@ -633,7 +688,7 @@ class TestLiveRowState:
         s, dense = _sparse_state(rng, 6)
         while s._top < 3:
             s, dense = _sparse_state(rng, 6)
-        op = GateOp(np.array([1, 0]), (s._top - 1, 0))
+        op = GateOp(np.array([1, 0]), (s._top - 2, s._top - 1))
         got = apply(s, op)
         _, block = s.rows(s._top)
         _, new_block = got.rows(s._top)
@@ -679,7 +734,7 @@ class TestLiveRowState:
                 Circuit(4, [hadamard(3)]),
                 Circuit(4, [hadamard(0), hadamard(2)]),
                 Circuit(4, [GateOp([1], (0,))]),
-                Circuit(4, [GateOp([1, 0], (3, 2))]),
+                Circuit(4, [GateOp([1, 0], (2, 3))]),
             ):
                 with pytest.raises(ValueError, match="finite"):
                     run(s, circuit)
@@ -699,25 +754,24 @@ class TestCircuit:
             Circuit(2).append(pauli_x(5))
 
     def test_run_matches_apply_and_dense_product(self):
-        # random circuits mixing dense and table-add gates, targets in
-        # unsorted order; the dense gates controlled with both polarities,
-        # the controls between the targets
+        # random circuits mixing dense and table-add gates on runs of
+        # qubits anywhere in the register; the dense gates controlled with
+        # both polarities
         rng = np.random.default_rng(47)
-        interleaved = 0
+        controlled_gates = 0
         for _ in range(30):
             q = int(rng.integers(2, 7))
             circuit = Circuit(q)
             for _ in range(int(rng.integers(1, 9))):
                 k = int(rng.integers(1, min(3, q) + 1))
-                wires = [int(w) for w in rng.permutation(q)]
-                targets = tuple(wires[:k])
                 if rng.integers(0, 2):
                     n_ctrl = int(rng.integers(0, q - k + 1))
-                    controls = tuple((w, int(rng.integers(0, 2))) for w in wires[k : k + n_ctrl])
-                    circuit.append(controlled(random_unitary(rng, 1 << k), controls, targets))
-                    interleaved += any(min(targets) < c < max(targets) for c, _ in controls)
+                    wires = _run_of(rng, n_ctrl + k, 0, q)
+                    controls = tuple((w, int(rng.integers(0, 2))) for w in wires[:n_ctrl])
+                    circuit.append(controlled(random_unitary(rng, 1 << k), controls, wires[n_ctrl:]))
+                    controlled_gates += n_ctrl > 0
                 else:
-                    circuit.append(GateOp(_random_table(rng, k), targets))
+                    circuit.append(GateOp(_random_table(rng, k), _run_of(rng, k, 0, q)))
             vec = random_state(rng, q)
             got = run(StateVector(vec), circuit).amps
             stepped = StateVector(vec)
@@ -727,7 +781,7 @@ class TestCircuit:
                 want = dense_operator(op, q) @ want
             assert np.max(np.abs(got - stepped.amps)) < 1e-12
             assert np.max(np.abs(got - want)) < 1e-12
-        assert interleaved > 0
+        assert controlled_gates > 0
 
     def test_empty_circuit_copies_input(self):
         s = StateVector(random_state(np.random.default_rng(53), 3))
@@ -771,7 +825,7 @@ class TestCircuit:
     def test_concatenation_equals_sequential(self):
         rng = np.random.default_rng(29)
         c1 = Circuit(3, [GateOp(random_unitary(rng, 2), (i,)) for i in range(3)])
-        c2 = Circuit(3, [cphase(0.4, 0, 2), hadamard(1)])
+        c2 = Circuit(3, [cphase(0.4, 1, 2), hadamard(0)])
         vec = random_state(rng, 3)
         joint = run(StateVector(vec), Circuit(3, c1.ops + c2.ops))
         stepped = run(run(StateVector(vec), c1), c2)
@@ -785,13 +839,13 @@ class TestCircuit:
         assert np.array_equal(a.amps, b.amps)
 
     def test_remap_embeds_into_wider_register(self):
-        c = Circuit(1, [pauli_x(0)]).remap([2], 3)
+        c = remap_circuit(Circuit(1, [pauli_x(0)]), [2], 3)
         s = run(StateVector.zero(3), c)
         assert s.amps[1] == 1.0
 
     def test_remap_length_mismatch(self):
         with pytest.raises(ValueError, match="qubit_map"):
-            Circuit(2).remap([0], 3)
+            remap_circuit(Circuit(2), [0], 3)
 
     def test_circuit_unitary_of_cnot(self):
         c = Circuit(2, [controlled(X, ((0, 1),), (1,))])
