@@ -85,10 +85,10 @@ def parse_matrix(path: str) -> HermitianInput:
         for lineno, row in enumerate(doc, 1):
             if not isinstance(row, list):
                 raise ParseError(f"{path}: row {lineno} is not a list")
-            try:
-                rows.append([float(v) for v in row])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: row {lineno} contains a non-numeric value") from None
+            # a JSON number parses to int or float; bool is an int subclass
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
+                raise ParseError(f"{path}: row {lineno} contains a non-numeric value")
+            rows.append([float(v) for v in row])
         return _matrix_from_rows(rows, path)
 
     rows = []

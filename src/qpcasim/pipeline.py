@@ -7,12 +7,19 @@ second register, flips an ancilla wherever y != 0, uncomputes both registers,
 and post-selects the ancilla.  What survives is the eigenvalue-thresholded
 state  sum_{k kept} sigma_k |u_k>|u_k>  up to normalization, kept meaning
 ``FilterParams.keeps``; a second phase estimation re-reads the kept eigenvalues.
+
+A ``HermitianInput`` is immutable and keeps one slot of circuits: the state
+preparation and phase estimation of its latest register width, which depend
+on the input and that width alone.  A call at the same width takes them
+from the slot; a first call, or a call at another width, builds them and
+replaces the slot.  So a warm call builds only what its config selects: the
+filter table, the filter and flip gates.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +60,9 @@ UNCOMPUTE_ATOL = 1e-9
 # smaller, and basis indices stay under 44 bits.  A call peaks at 5.1 blocks
 # of 16 * 2**(n+m) bytes (dim 16 at n = 12, dim 256 at n = 6), and at up to
 # 8.6 where its row keys are as large as its rows (dim 2 at n = 20): about
-# 550 MiB at this limit.
+# 550 MiB at this limit.  Between calls an input keeps the circuits of one
+# register width, whose largest part, the phase gate and its inverse, is
+# 2 * 16 * 2**(n+m/2) bytes: at most one block, as m >= 2.
 MAX_LIVE_AMPS = 2**22
 
 
@@ -66,18 +75,34 @@ class PipelineInvariantError(SimulationError):
     stray population outside the post-selected block, and the like)."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
+class _Compiled:
+    """The circuits of one register width that depend on the input alone,
+    and the warnings their build gave, which every call using them repeats."""
+
+    n_bits: int
+    prep: Circuit
+    pe: Circuit
+    warned: tuple[Warning, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class HermitianInput:
     """A real symmetric matrix with its eigendecomposition attached.
 
     ``eigenvectors[:, k]`` pairs with ``eigenvalues[k]``; eigenvalues are
-    sorted descending.  Use ``from_matrix`` to construct.
+    sorted descending.  ``integer_spectrum`` says whether every eigenvalue
+    is within ``SPECTRUM_ATOL`` of an integer.  Use ``from_matrix`` to
+    construct: its arrays are read-only, so an input never changes and the
+    circuits ``run_qpca`` keeps on it never go stale.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank: int
+    integer_spectrum: bool
+    _slot: _Compiled | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_matrix(cls, matrix) -> "HermitianInput":
@@ -90,7 +115,10 @@ class HermitianInput:
         if np.max(np.abs(recon - m)) > 1e-9:
             raise PipelineInvariantError("eigendecomposition failed to reproduce the matrix")
         rank = int(np.sum(np.abs(eigvals) > 1e-12))
-        return cls(matrix=m, eigenvalues=eigvals, eigenvectors=eigvecs, rank=rank)
+        integer = bool(np.all(np.abs(eigvals - np.rint(eigvals)) <= SPECTRUM_ATOL))
+        for a in (m, eigvals, eigvecs):
+            a.setflags(write=False)
+        return cls(m, eigvals, eigvecs, rank, integer)
 
     @property
     def dim(self) -> int:
@@ -248,6 +276,25 @@ def make_layout(hin: HermitianInput, n_bits: int) -> RegisterLayout:
     return RegisterLayout(eig_bits=n_bits, data_qubits=2 * k)
 
 
+def _compiled(hin: HermitianInput, layout: RegisterLayout) -> _Compiled:
+    """``hin``'s state preparation and phase estimation at ``layout``'s
+    register width: from the input's slot, or built and put in the slot in
+    place of another width's.  Warnings the build gives are kept with the
+    circuits, for the caller to repeat on every call."""
+    slot = hin._slot
+    if slot is None or slot.n_bits != layout.eig_bits:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pe_spec = PhaseEstimationSpec(hin.matrix, layout.eig_bits)
+            prep = build_state_prep(
+                hin.amplitude_encoding, qubits=layout.data_reg, num_qubits=layout.num_qubits
+            )
+            pe = build_phase_estimation(pe_spec, layout.lambda_reg, layout.u_reg, layout.num_qubits)
+        slot = _Compiled(layout.eig_bits, prep, pe, tuple(w.message for w in caught))
+        object.__setattr__(hin, "_slot", slot)
+    return slot
+
+
 def run_qpca(
     hin: HermitianInput,
     config: QpcaConfig,
@@ -282,15 +329,16 @@ def run_qpca(
             f"({block_bytes >> 20} MiB) per block; the limit is {MAX_LIVE_AMPS} amplitudes"
         )
 
-    exact_spectrum = all(abs(lam - round(lam)) <= SPECTRUM_ATOL for lam in hin.eigenvalues)
-    if not exact_spectrum:
+    if not hin.integer_spectrum:
         warnings.warn(
             "spectrum is not integer; register readout is approximate and the "
             "threshold acts on the spread register values",
             SpectralPrecisionWarning,
             stacklevel=2,
         )
-    pe_spec = PhaseEstimationSpec(hin.matrix, config.n_bits)
+    compiled = _compiled(hin, layout)
+    for message in compiled.warned:
+        warnings.warn(message, stacklevel=2)
     if filter_table is None:
         filter_table = build_filter_table(FilterParams(config.tau, config.n_bits))
     params = filter_table.params
@@ -301,19 +349,16 @@ def run_qpca(
         )
     kept_eigenvalues = tuple(hin.eigenvalues[params.keeps(hin.eigenvalues)].tolist())
 
-    prep = build_state_prep(
-        hin.amplitude_encoding, qubits=layout.data_reg, num_qubits=layout.num_qubits
-    )
-    pe = build_phase_estimation(pe_spec, layout.lambda_reg, layout.u_reg, layout.num_qubits)
     filt = build_filter_unitary(filter_table, layout)
     flip = ancilla_flip_gate(layout)
 
     state = StateVector.zero(layout.num_qubits)
-    state = run(state, prep)
-    state = run(state, pe)
+    state = run(state, compiled.prep)
+    state = run(state, compiled.pe)
     state = apply(state, filt)
     state = apply(state, flip)
-    state = uncompute(state, layout, filt, pe, atol=UNCOMPUTE_ATOL if exact_spectrum else None)
+    atol = UNCOMPUTE_ATOL if hin.integer_spectrum else None
+    state = uncompute(state, layout, filt, compiled.pe, atol=atol)
 
     success_prob, collapsed = post_select(state, layout.ancilla, 1)
     success_prob = min(success_prob, 1.0)
@@ -329,7 +374,7 @@ def run_qpca(
     clean = np.flatnonzero((anc == 1) & (y == 0) & (lam == 0))
     amps = block[clean[0]] if clean.size else np.zeros(block.shape[1], dtype=np.complex128)
     block_mass = float(np.sum(np.abs(amps) ** 2))
-    if exact_spectrum and 1.0 - block_mass > UNCOMPUTE_ATOL:
+    if hin.integer_spectrum and 1.0 - block_mass > UNCOMPUTE_ATOL:
         raise PipelineInvariantError(
             f"stray population outside data block: {1.0 - block_mass:.3e}"
         )
@@ -362,7 +407,7 @@ def run_qpca(
 
     fid = 0.0 if expected is None else fidelity(output_amps, expected)
 
-    histogram = lambda_register_histogram(run(collapsed, pe), layout)
+    histogram = lambda_register_histogram(run(collapsed, compiled.pe), layout)
 
     result = QpcaResult(
         success_prob=success_prob,

@@ -86,6 +86,27 @@ class TestParseMatrix:
         with pytest.raises(ParseError, match="line 2"):
             parse_matrix(str(p))
 
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("[[true, false], [false, true]]", 1),
+            ('[["2", "0"], ["0", "1"]]', 1),
+            ('{"matrix": [[2, 0], [0, null]]}', 2),
+        ],
+        ids=["booleans", "numeric-strings", "null"],
+    )
+    def test_json_entries_must_be_numbers(self, tmp_path, capsys, text, row):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        message = f"{p}: row {row} contains a non-numeric value"
+        with pytest.raises(ParseError, match=message):
+            parse_matrix(str(p))
+        code = main(["run", "--matrix", str(p), "--tau", "0.5", "--eig-bits", "2",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.json").exists()
+
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "padded.csv"
         p.write_text("\n1.5,0.5\n\n0.5,1.5\n\n")

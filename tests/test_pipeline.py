@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -511,6 +512,99 @@ class TestRunQpca:
         table = exact_shrink_table(FilterParams(1.0, 2))
         with pytest.raises(StateBuilt):
             run_qpca(hin, config, filter_table=table)
+
+
+class TestCompileSlot:
+    """An input keeps the state preparation and phase estimation of the
+    register width of its latest call, and builds them again only for
+    another width."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = dict.fromkeys(
+            ("PhaseEstimationSpec", "build_state_prep", "build_phase_estimation"), 0
+        )
+        for name in counts:
+            original = getattr(pipeline, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        return counts
+
+    def test_second_call_builds_nothing(self, matrix_c, builds):
+        hin = HermitianInput.from_matrix(matrix_c)
+        run_qpca(hin, QpcaConfig(tau=1.5, n_bits=2))
+        assert set(builds.values()) == {1}
+        for tau, mode in ((1.5, "exact"), (0.5, "sampled"), (2.5, "exact")):
+            run_qpca(hin, QpcaConfig(tau=tau, n_bits=2, mode=mode))
+        assert set(builds.values()) == {1}
+
+    def test_new_width_rebuilds_and_replaces_the_slot(self, matrix_c, builds):
+        hin = HermitianInput.from_matrix(matrix_c)
+        for n_bits in (2, 3, 3, 2):
+            run_qpca(hin, QpcaConfig(tau=1.5, n_bits=n_bits))
+            slot = hin._slot
+            assert slot.n_bits == n_bits
+            assert slot.prep.num_qubits == slot.pe.num_qubits == make_layout(hin, n_bits).num_qubits
+        # a width comes back only by a rebuild: the slot holds one width
+        assert set(builds.values()) == {3}
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_warm_cold_and_switched_calls_match_a_fresh_input(self, mode):
+        rng = np.random.default_rng(11)
+        mat = matrix_with_spectrum(rng, [6.0, 5.0, 3.0, 1.0])
+        hin = HermitianInput.from_matrix(mat)
+        for n_bits, tau in ((3, 2.5), (3, 4.5), (4, 2.5), (3, 2.5)):
+            config = QpcaConfig(tau=tau, n_bits=n_bits, mode=mode, shots=2000, seed=5)
+            got = run_qpca(hin, config)
+            fresh = run_qpca(HermitianInput.from_matrix(mat), config)
+            assert np.array_equal(got.output_amps, fresh.output_amps)
+            assert (got.success_prob, got.fidelity) == (fresh.success_prob, fresh.fidelity)
+            assert got.kept_eigenvalues == fresh.kept_eigenvalues
+            assert got.lambda_histogram == fresh.lambda_histogram
+            assert got.counts == fresh.counts
+
+    def test_every_call_repeats_the_build_warnings(self):
+        # non-integer, and past the 2-bit register: the pipeline's warning and
+        # PhaseEstimationSpec's "register readout will wrap", on every call
+        mat = np.diag([5.3, 1.0, 2.0, 0.0])
+        hin = HermitianInput.from_matrix(mat)
+
+        def messages(h, n_bits):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_qpca(h, QpcaConfig(tau=1.5, n_bits=n_bits))
+            assert all(w.category is SpectralPrecisionWarning for w in caught)
+            return [str(w.message) for w in caught]
+
+        wrap = "eigenvalues span [0, 5.3], outside [0, 4); register readout will wrap"
+        for n_bits in (2, 2, 3, 2):
+            got = messages(hin, n_bits)
+            assert got == messages(HermitianInput.from_matrix(mat), n_bits)
+            assert got[0].startswith("spectrum is not integer")
+            assert got[1:] == ([wrap] if n_bits == 2 else [])
+
+    def test_input_is_immutable(self, matrix_a):
+        given = np.array(matrix_a)
+        hin = HermitianInput.from_matrix(given)
+        given[0, 0] = 7.0  # the caller's array stays theirs
+        assert hin.matrix[0, 0] == matrix_a[0, 0]
+        for array in (hin.matrix, hin.eigenvalues, hin.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        for name in ("matrix", "eigenvalues", "eigenvectors", "rank", "integer_spectrum"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(hin, name, getattr(hin, name))
+
+    @pytest.mark.parametrize(
+        "lams, integer",
+        [([2.0, 1.0], True), ([3.0 + 5e-7, 0.0 - 5e-7], True), ([2.3, 1.0], False)],
+    )
+    def test_integer_spectrum_reads_spectrum_atol(self, lams, integer):
+        assert HermitianInput.from_matrix(np.diag(lams)).integer_spectrum is integer
 
 
 @st.composite
