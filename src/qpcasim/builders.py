@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -82,19 +81,6 @@ class PhaseEstimationSpec:
         return self._eigvals.copy()
 
 
-@functools.lru_cache
-def _register_gates(qubits: tuple[int, ...]) -> GateOp:
-    """The gate that depends only on a register, wired onto ``qubits``: the
-    Fourier gate of sign 1, the QFT with kernel ``np.fft.ifft`` along the
-    register value and ``qubits[0]`` its most significant bit.
-
-    Built once per register placement and shared, so it is checked once
-    and, as a gate keeps the inverse ``dagger`` builds, inverted once.  The
-    circuit width is not part of the key.
-    """
-    return GateOp(1, qubits, label="QFT")
-
-
 def build_phase_estimation(
     spec: PhaseEstimationSpec,
     lam_qubits,
@@ -120,10 +106,8 @@ def build_phase_estimation(
     elsewhere.  The register, then the targets, must be consecutive qubits
     in ascending order, as the phase gate acts on both.
 
-    F depends only on the register; it is built once per register placement
-    and shared, with its dagger.  Each call builds and checks V^T and the
-    phase gate; V is V^T's ``dagger``, so a warm call's ``inverse`` builds
-    only the phase gate's.
+    Each call builds F, a sign that needs no unitarity test, and checks
+    V^T and the phase gate; V and F's dagger reuse their checked matrices.
     """
     lam_qubits = tuple(int(q) for q in lam_qubits)
     target_qubits = tuple(int(q) for q in target_qubits)
@@ -140,7 +124,7 @@ def build_phase_estimation(
     if num_qubits is None:
         num_qubits = max(lam_qubits + target_qubits) + 1
 
-    fourier = _register_gates(lam_qubits)
+    fourier = GateOp(1, lam_qubits, label="QFT")
     to_eigenbasis = GateOp(spec._eigvecs.T, target_qubits, label="V^T")
     phases = np.exp(2j * np.pi * np.outer(np.arange(spec.scale), spec._eigvals) / spec.scale)
     powers = GateOp(phases.reshape(-1, 1, 1), lam_qubits + target_qubits, label="c-U^b")

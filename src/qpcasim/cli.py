@@ -88,7 +88,16 @@ def parse_matrix(path: str) -> HermitianInput:
             # a JSON number parses to int or float; bool is an int subclass
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
                 raise ParseError(f"{path}: row {lineno} contains a non-numeric value")
-            rows.append([float(v) for v in row])
+            values = []
+            for col, v in enumerate(row, 1):
+                try:
+                    values.append(float(v))
+                except OverflowError:  # an integer past the float range
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col}: not a finite number: "
+                        "integer too large for a float"
+                    ) from None
+            rows.append(values)
         return _matrix_from_rows(rows, path)
 
     rows = []

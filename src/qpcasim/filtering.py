@@ -146,8 +146,8 @@ class FilterParams:
     n_bits: int
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if self.n_bits < 1:
             raise ValueError("n_bits must be >= 1")
 

@@ -12,12 +12,14 @@ A ``HermitianInput`` is immutable and keeps one slot of circuits: the state
 preparation and phase estimation of its latest register width, which depend
 on the input and that width alone.  A call at the same width takes them
 from the slot; a first call, or a call at another width, builds them and
-replaces the slot.  So a warm call builds only what its config selects: the
-filter table, the filter and flip gates.
+replaces the slot.  So a warm call builds only the filter table and the
+filter and flip gates, which its config selects, and the daggers of the
+kept phase estimation that ``uncompute`` runs.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -61,8 +63,8 @@ UNCOMPUTE_ATOL = 1e-9
 # of 16 * 2**(n+m) bytes (dim 16 at n = 12, dim 256 at n = 6), and at up to
 # 8.6 where its row keys are as large as its rows (dim 2 at n = 20): about
 # 550 MiB at this limit.  Between calls an input keeps the circuits of one
-# register width, whose largest part, the phase gate and its inverse, is
-# 2 * 16 * 2**(n+m/2) bytes: at most one block, as m >= 2.
+# register width, whose largest part, the phase gate, is 16 * 2**(n+m/2)
+# bytes: at most half a block, as m >= 2.
 MAX_LIVE_AMPS = 2**22
 
 
@@ -148,8 +150,8 @@ class QpcaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
         if self.mode not in ("exact", "sampled"):

@@ -70,9 +70,6 @@ A gate acts on its k target qubits alone and holds one of three forms in
   bijection, and the inverse adds -T.  Table-compiled classical blocks (the
   eigenvalue filter, the ancilla flip) use this form, so a 2n-qubit filter
   costs 2**n integers.
-
-A gate builds its inverse on the first ``dagger`` call and keeps it, so a
-shared gate (the Fourier gate of a register) is inverted once.
 """
 
 from __future__ import annotations
@@ -260,11 +257,10 @@ class GateOp:
     its dtype.  ``dagger`` reuses the checked matrix.
 
     ``targets`` must be ascending and consecutive; the gate stores them as
-    ``first`` and ``count``.  It keeps the inverse its first ``dagger``
-    builds.
+    ``first`` and ``count``.
     """
 
-    __slots__ = ("matrix", "first", "count", "label", "_inverse")
+    __slots__ = ("matrix", "first", "count", "label")
 
     def __init__(self, matrix, targets, label: str | None = None):
         first, k = _span(targets)
@@ -288,8 +284,8 @@ class GateOp:
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray, targets, label) -> "GateOp":
-        """A gate on ``matrix`` taken from an already checked gate, or its
-        inverse: the targets are checked, the matrix is not checked again."""
+        """A gate on ``matrix``, already checked: the targets are checked,
+        the matrix is not checked again."""
         self = cls.__new__(cls)
         self._set(matrix, *_span(targets), label)
         return self
@@ -300,7 +296,6 @@ class GateOp:
         self.first = first
         self.count = count
         self.label = label
-        self._inverse = None
 
     @property
     def targets(self) -> tuple[int, ...]:
@@ -309,19 +304,17 @@ class GateOp:
     def dagger(self) -> "GateOp":
         """Inverse gate, same targets: the conjugate transpose of each block,
         the add of -T for a table T, the Fourier gate of the opposite sign.
-        Built on the first call and kept; the inverse's ``dagger`` returns
-        this gate."""
-        if self._inverse is None:
-            m = self.matrix
-            if m.ndim == 0:
-                inverse = -m
-            elif m.ndim == 1:
-                inverse = np.mod(-m, (1 << self.count) // m.size)
-            else:
-                inverse = _conj_transpose(m)
-            self._inverse = GateOp._trusted(inverse, self.targets, self.label)
-            self._inverse._inverse = self
-        return self._inverse
+        Built on each call from this gate's checked matrix and span."""
+        m = self.matrix
+        if m.ndim == 0:
+            inverse = np.array(-m)  # a 0-d array, as the sign it negates
+        elif m.ndim == 1:
+            inverse = np.mod(-m, (1 << self.count) // m.size)
+        else:
+            inverse = _conj_transpose(m)
+        gate = GateOp.__new__(GateOp)
+        gate._set(inverse, self.first, self.count, self.label)
+        return gate
 
     def max_qubit(self) -> int:
         return self.first + self.count - 1

@@ -21,7 +21,6 @@ from qpcasim import (
     PhaseEstimationSpec,
     SpectralPrecisionWarning,
     StateVector,
-    builders,
     build_phase_estimation,
     build_state_prep,
     hadamard,
@@ -243,14 +242,12 @@ class TestPhaseEstimation:
                     assert np.max(np.abs(back - np.eye(dim << n))) < 1e-12, (n, dim, lams)
 
     def test_checks_each_matrix_once(self, monkeypatch):
-        # the Fourier gate, a sign, is checked without a unitarity test and
-        # kept per register placement with its dagger: each build checks
-        # V^T, in real arithmetic, and the phase stack, and the inverse
-        # checks nothing
+        # the Fourier gate, a sign, is checked without a unitarity test:
+        # each build checks V^T, in real arithmetic, and the phase stack,
+        # and the inverse checks nothing
         checked = []
         defect = sim._unitarity_defect
         monkeypatch.setattr(sim, "_unitarity_defect", lambda m: checked.append(m) or defect(m))
-        builders._register_gates.cache_clear()
         for n in (1, 2, 3, 6):
             spec = PhaseEstimationSpec(np.diag([1.0, 0.0]), n)
             checked.clear()
@@ -268,33 +265,38 @@ class TestPhaseEstimation:
             pe.inverse()
             assert checked == []
             assert len(again) == len(pe)
-            for i, (a, b) in enumerate(zip(pe.ops, again.ops)):
-                assert (a is b) == (i in (0, 4))
+            for a, b in zip(pe.ops, again.ops):
+                assert (a.targets, a.label) == (b.targets, b.label)
                 assert np.array_equal(a.matrix, b.matrix)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_shared_gates_keep_their_inverses(self, n):
-        # every gate keeps its inverse: the Fourier gate comes back from the
-        # cache with its dagger, the inverse QFT that closes the circuit,
-        # and V^T's is V, so the inverse circuit builds no gate
+        # each gate's dagger has its targets and label, and the dagger of
+        # that has its matrix; V is V^T's dagger, the circuit closes with
+        # the dagger of the QFT it opens with, and the inverse circuit
+        # undoes the circuit
         lam, q = tuple(range(2, n + 2)), n + 3
         spec = PhaseEstimationSpec(np.diag([1.0, 0.0]), n)
         pe = build_phase_estimation(spec, lam, (n + 2,), q)
         for g in pe.ops:
             d = g.dagger()
-            assert d.dagger() is g and g.dagger() is d
-            assert d.targets == g.targets
+            assert (d.targets, d.label) == (g.targets, g.label)
+            assert np.array_equal(d.dagger().matrix, g.matrix)
         to_eigen, powers, from_eigen = pe_middle(pe)
-        assert to_eigen.dagger() is from_eigen
+        assert np.array_equal(to_eigen.dagger().matrix, from_eigen.matrix)
         assert np.array_equal(powers.dagger().matrix, powers.matrix.conj())
         fourier, inverse = pe.ops[0], pe.ops[-1]
-        assert inverse is fourier.dagger()
-        assert fourier.targets == lam
+        assert (fourier.matrix, inverse.matrix) == (1, -1)
+        assert fourier.targets == inverse.targets == lam
         assert np.max(np.abs(gate_matrix(fourier) - dft_matrix(n))) < 1e-12
         assert np.max(np.abs(gate_matrix(inverse) - dft_matrix(n).conj())) < 1e-12
-        assert all(a is b.dagger() for a, b in zip(pe.inverse().ops, reversed(pe.ops)))
-        again = build_phase_estimation(spec, lam, (n + 2,), q)
-        assert again.ops[0] is fourier and again.ops[-1] is inverse
+        undone = pe.inverse()
+        for a, b in zip(undone.ops, reversed(pe.ops)):
+            assert a.targets == b.targets
+            assert np.array_equal(a.matrix, b.dagger().matrix)
+        vec = random_state(np.random.default_rng(n), q)
+        back = run(run(StateVector(vec), pe), undone)
+        assert np.max(np.abs(back.amps - vec)) < 1e-12
 
     def test_register_size_mismatch(self, matrix_a):
         spec = PhaseEstimationSpec(matrix_a, eig_bits=2)

@@ -202,6 +202,12 @@ class TestRunCommand:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_infinite_tau_exits_two(self, a_path, tmp_path, capsys):
+        code = main(["run", "--matrix", a_path, "--tau", "inf", "--eig-bits", "2",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: tau must be positive and finite, got inf\n"
+
     def test_bad_eig_bits_exits_two(self, a_path, tmp_path, capsys):
         assert main(["run", "--matrix", a_path, "--tau", "1", "--eig-bits", "0",
                      "--out", str(tmp_path / "x.json")]) == EXIT_INPUT
@@ -243,8 +249,21 @@ class TestRunCommand:
             ("inf.csv", "1.5,0.5\n0.5,inf\n", "row 2, column 2: not a finite number: inf"),
             ("nan.json", "[[NaN, 0.5], [0.5, 1.5]]", "row 1, column 1: not a finite number: nan"),
             ("inf.json", "[[1.5, 0.5], [-Infinity, 1.5]]", "row 2, column 1: not a finite number: -inf"),
+            (
+                "huge.json",
+                f"[[1{'0' * 400}, 0], [0, 0]]",
+                "row 1, column 1: not a finite number: integer too large for a float",
+            ),
+            (
+                "huge.json",
+                f"[[1.5, 0], [-1{'0' * 400}, 1.5]]",
+                "row 2, column 1: not a finite number: integer too large for a float",
+            ),
         ],
-        ids=["csv-nan", "csv-inf", "json-nan", "json-minus-inf"],
+        ids=[
+            "csv-nan", "csv-inf", "json-nan", "json-minus-inf",
+            "json-huge-integer", "json-huge-negative-integer",
+        ],
     )
     def test_non_finite_entry_exits_two(self, tmp_path, capsys, name, text, entry):
         p = tmp_path / name

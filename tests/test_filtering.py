@@ -156,8 +156,10 @@ class TestFilterParams:
             assert got.tolist() == [[bool(p.keeps(float(x))) for x in row] for row in lams]
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="tau"):
-            FilterParams(tau=0.0, n_bits=2)
+        # an infinite tau has no fixed-point value: round(inf) raises
+        for tau in (0.0, float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                FilterParams(tau=tau, n_bits=2)
         with pytest.raises(ValueError, match="n_bits"):
             FilterParams(tau=1.0, n_bits=0)
 

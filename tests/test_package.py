@@ -8,8 +8,9 @@ import qpcasim
 # its semiclassical gates, the exponential stack (_exp_matrices), swap and
 # cphase are test references now (tests/helpers.py); circuits concatenate
 # as Circuit(n, a.ops + b.ops), and state prep checks its blocks without
-# GateOp.stack.  A gate keeps the inverse its first dagger builds, and no
-# kernel plan.  One size limit,
+# GateOp.stack.  A gate keeps no inverse (dagger builds one on each call)
+# and no kernel plan, and builders keeps no Fourier gate per register: a
+# prepared input's slot alone keeps built gates.  One size limit,
 # pipeline.MAX_LIVE_AMPS, replaces the qubit and eig-bits caps; QpcaConfig
 # alone checks the run parameters, and sim.ROUNDOFF is the one round-off
 # floor.  A gate has no controls: a controlled-U is a block stack with I in
@@ -46,6 +47,8 @@ DELETED = (
     "_keys_plan",
     "_wiring",
     "min_qubit",
+    "_register_gates",
+    "_inverse",
 )
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -552,6 +554,30 @@ class TestCompileSlot:
         # a width comes back only by a rebuild: the slot holds one width
         assert set(builds.values()) == {3}
 
+    def test_gates_are_freed_with_their_last_reference(self, matrix_c, monkeypatch):
+        # with the cycle collector off, a replaced slot's gates and a
+        # finished call's filter gate go as soon as nothing refers to them:
+        # no gate is kept elsewhere, and no gate refers back to itself
+        filter_tables = []
+        build = pipeline.build_filter_unitary
+
+        def recorded(*args):
+            gate = build(*args)
+            filter_tables.append(weakref.ref(gate.matrix))
+            return gate
+
+        monkeypatch.setattr(pipeline, "build_filter_unitary", recorded)
+        hin = HermitianInput.from_matrix(matrix_c)
+        gc.disable()
+        try:
+            run_qpca(hin, QpcaConfig(tau=1.5, n_bits=2))
+            old = [weakref.ref(op.matrix) for op in hin._slot.pe]
+            run_qpca(hin, QpcaConfig(tau=1.5, n_bits=3))
+            assert [ref() for ref in old] == [None] * 5
+            assert [ref() for ref in filter_tables] == [None, None]
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_warm_cold_and_switched_calls_match_a_fresh_input(self, mode):
         rng = np.random.default_rng(11)
@@ -686,6 +712,11 @@ class TestConfigValidation:
     def test_tau_positive(self):
         with pytest.raises(ValueError, match="tau"):
             QpcaConfig(tau=0.0, n_bits=2)
+
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+    def test_tau_finite(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be positive and finite, got {tau}"):
+            QpcaConfig(tau=tau, n_bits=2)
 
     def test_mode_checked(self):
         with pytest.raises(ValueError, match="mode"):

@@ -110,7 +110,7 @@ class TestGateOp:
 
     def test_rejects_targets_that_are_not_an_ascending_range(self):
         # gaps and descending order are refused in every form, also on the
-        # trusted path a dagger takes
+        # trusted path of a gate on an already checked matrix
         for targets in ((0, 2), (1, 0), (0, 1, 3), (2, 1, 0), (0, 2, 1)):
             k = len(targets)
             for gate in (np.eye(1 << k), np.arange(1 << (k - 1)), 1):
@@ -266,21 +266,25 @@ class TestGateOp:
         with pytest.raises(ValueError, match="negative"):
             GateOp._trusted(op.matrix, (-1, 0, 1), op.label)
 
-    def test_dagger_is_built_once_and_kept(self):
-        # the first dagger builds the inverse and the gate keeps it; the
-        # inverse's dagger is the gate itself
+    def test_dagger_builds_the_inverse_of_each_form(self):
+        # each dagger call builds a new, read-only inverse of the same
+        # targets and label; the inverse's dagger has the gate's matrix
         rng = np.random.default_rng(11)
         for gate in (random_unitary(rng, 4), np.array([1]), np.stack([np.eye(2)] * 2), -1):
-            op = GateOp(gate, (0, 1))
+            op = GateOp(gate, (1, 2), label="g")
             inv = op.dagger()
-            assert op.dagger() is inv and inv.dagger() is op and inv is not op
+            assert inv is not op and op.dagger() is not inv
+            assert not inv.matrix.flags.writeable
             if np.ndim(gate) == 1:
                 assert inv.matrix.tolist() == [3]
             elif np.ndim(gate) == 0:
                 assert inv.matrix == 1
             else:
                 assert np.array_equal(inv.matrix, np.swapaxes(op.matrix.conj(), -1, -2))
-            assert (inv.targets, inv.label) == (op.targets, op.label)
+            back = inv.dagger()
+            assert np.array_equal(back.matrix, op.matrix) and back.matrix.dtype == op.matrix.dtype
+            for g in (inv, back):
+                assert (g.first, g.count, g.targets, g.label) == (1, 2, (1, 2), "g")
 
     def test_self_inverse_gate_dagger_has_its_matrix(self):
         h = hadamard(0)
@@ -294,6 +298,7 @@ class TestGateOp:
                 GateOp(sign, (0, 1))
         op = GateOp(-1, (0, 1))
         assert op.matrix == -1 and op.dagger().matrix == 1 and op.matrix.nbytes > 0
+        assert type(op.dagger().matrix) is np.ndarray and op.dagger().matrix.ndim == 0
 
 
 class TestApply:
