@@ -60,6 +60,14 @@ def _matrix_from_rows(rows: list[list[float]], origin: str) -> HermitianInput:
     return HermitianInput.from_matrix(arr)
 
 
+def _json_integer(token: str) -> int:
+    """A JSON integer token as an int.  A token of more than 400 characters
+    is past the float range whatever its digits; it is cut to 400, which
+    keeps it there and under ``int``'s 4300-digit limit, so that the float
+    conversion refuses it by row and column."""
+    return int(token[:400])
+
+
 def parse_matrix(path: str) -> HermitianInput:
     """Load a real symmetric matrix from a CSV or JSON file.
 
@@ -72,7 +80,7 @@ def parse_matrix(path: str) -> HermitianInput:
     text = p.read_text()
     if p.suffix.lower() == ".json" or text.lstrip()[:1] in ("{", "["):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_int=_json_integer)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: line {e.lineno}: {e.msg}") from None
         if isinstance(doc, dict):

@@ -8,13 +8,16 @@ and post-selects the ancilla.  What survives is the eigenvalue-thresholded
 state  sum_{k kept} sigma_k |u_k>|u_k>  up to normalization, kept meaning
 ``FilterParams.keeps``; a second phase estimation re-reads the kept eigenvalues.
 
-A ``HermitianInput`` is immutable and keeps one slot of circuits: the state
-preparation and phase estimation of its latest register width, which depend
-on the input and that width alone.  A call at the same width takes them
-from the slot; a first call, or a call at another width, builds them and
-replaces the slot.  So a warm call builds only the filter table and the
-filter and flip gates, which its config selects, and the daggers of the
-kept phase estimation that ``uncompute`` runs.
+A ``HermitianInput`` is immutable and keeps one slot for its latest register
+width: the state after state preparation and phase estimation, and the
+phase-estimation circuit, which depend on the input and that width alone.
+A first call, or a call at another width, builds both circuits, runs them
+from |0>, and replaces the slot; the state-preparation circuit is dropped.
+Every call continues from the slot's state, so a sweep of tau at one width
+simulates the filter, the flip, ``uncompute`` and the second phase
+estimation only, and builds only the filter table and the filter and flip
+gates, which its config selects, and the daggers of the kept phase
+estimation that ``uncompute`` runs.
 """
 
 from __future__ import annotations
@@ -59,12 +62,13 @@ UNCOMPUTE_ATOL = 1e-9
 # Largest block of 2**(n+m) amplitudes that run_qpca simulates.  From phase
 # estimation on a state holds at most two such blocks for any spectrum; the
 # filter and flip tables (2**n entries) and the phase gate (2**(n+k)) are
-# smaller, and basis indices stay under 44 bits.  A call peaks at 5.1 blocks
-# of 16 * 2**(n+m) bytes (dim 16 at n = 12, dim 256 at n = 6), and at up to
-# 8.6 where its row keys are as large as its rows (dim 2 at n = 20): about
-# 550 MiB at this limit.  Between calls an input keeps the circuits of one
-# register width, whose largest part, the phase gate, is 16 * 2**(n+m/2)
-# bytes: at most half a block, as m >= 2.
+# smaller, and basis indices stay under 44 bits.  A first call at a width
+# peaks at 5.1 blocks of 16 * 2**(n+m) bytes (dim 16 at n = 12, dim 256 at
+# n = 6), and at up to 8.6 where its row keys are as large as its rows (dim 2
+# at n = 20): about 550 MiB at this limit.  A later call, which starts at the
+# filter, peaks about one block lower.  Between calls an input holds at most
+# 1.5 blocks: its estimated state of one register width (one block) and that
+# width's phase gate, 16 * 2**(n+m/2) bytes, at most half a block as m >= 2.
 MAX_LIVE_AMPS = 2**22
 
 
@@ -79,11 +83,14 @@ class PipelineInvariantError(SimulationError):
 
 @dataclass(frozen=True, eq=False)
 class _Compiled:
-    """The circuits of one register width that depend on the input alone,
-    and the warnings their build gave, which every call using them repeats."""
+    """What one register width's calls share and the input alone fixes: the
+    state after state preparation and phase estimation, stored split at the
+    work registers (``RegisterLayout.work_qubits``) that the filter reads, the
+    phase-estimation circuit, and the warnings the build gave, which every
+    call repeats."""
 
     n_bits: int
-    prep: Circuit
+    estimated: StateVector
     pe: Circuit
     warned: tuple[Warning, ...]
 
@@ -96,7 +103,7 @@ class HermitianInput:
     sorted descending.  ``integer_spectrum`` says whether every eigenvalue
     is within ``SPECTRUM_ATOL`` of an integer.  Use ``from_matrix`` to
     construct: its arrays are read-only, so an input never changes and the
-    circuits ``run_qpca`` keeps on it never go stale.
+    state and circuit ``run_qpca`` keeps on it never go stale.
     """
 
     matrix: np.ndarray
@@ -154,10 +161,19 @@ class QpcaConfig:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
+        # the smallest input, 2x2 on m = 2 data qubits, fits 2**(n+2) amplitudes
+        widest = MAX_LIVE_AMPS.bit_length() - 3
+        if self.n_bits > widest:
+            raise ValueError(
+                f"n_bits must be <= {widest}, the widest register any input can run "
+                f"within {MAX_LIVE_AMPS} live amplitudes, got {self.n_bits}"
+            )
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if not 1 <= self.shots < 2**63:  # the draw counts shots in int64
+            raise ValueError(f"shots must be >= 1 and <= 2**63 - 1, got {self.shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -279,10 +295,10 @@ def make_layout(hin: HermitianInput, n_bits: int) -> RegisterLayout:
 
 
 def _compiled(hin: HermitianInput, layout: RegisterLayout) -> _Compiled:
-    """``hin``'s state preparation and phase estimation at ``layout``'s
-    register width: from the input's slot, or built and put in the slot in
-    place of another width's.  Warnings the build gives are kept with the
-    circuits, for the caller to repeat on every call."""
+    """``hin``'s slot at ``layout``'s register width: the input's own, or
+    built, run from |0> and put in the slot in place of another width's.
+    Warnings the build gives are kept in the slot, for the caller to repeat
+    on every call; warnings of the runs are not."""
     slot = hin._slot
     if slot is None or slot.n_bits != layout.eig_bits:
         with warnings.catch_warnings(record=True) as caught:
@@ -292,9 +308,37 @@ def _compiled(hin: HermitianInput, layout: RegisterLayout) -> _Compiled:
                 hin.amplitude_encoding, qubits=layout.data_reg, num_qubits=layout.num_qubits
             )
             pe = build_phase_estimation(pe_spec, layout.lambda_reg, layout.u_reg, layout.num_qubits)
-        slot = _Compiled(layout.eig_bits, prep, pe, tuple(w.message for w in caught))
+        # two runs, not one circuit: a run of gates works from its lowest
+        # qubit, where prep would act on 2**n copies of the data register
+        state = run(run(StateVector.zero(layout.num_qubits), prep), pe)
+        top = layout.work_qubits
+        estimated = StateVector._owned(layout.num_qubits, top, *state.rows(top))
+        slot = _Compiled(layout.eig_bits, estimated, pe, tuple(w.message for w in caught))
         object.__setattr__(hin, "_slot", slot)
     return slot
+
+
+def _readout(collapsed: StateVector, layout: RegisterLayout, integer_spectrum: bool) -> np.ndarray:
+    """The post-selected data-register amplitudes: the row with the ancilla
+    at 1 and clean work registers, renormalized and real.
+
+    With ancilla = 1 all mass should sit on clean work registers.
+    Approximate spectra leak some mass outside that block; it is
+    renormalized either way."""
+    anc, y, lam, block = _work_rows(collapsed, layout)
+    clean = np.flatnonzero((anc == 1) & (y == 0) & (lam == 0))
+    amps = block[clean[0]] if clean.size else np.zeros(block.shape[1], dtype=np.complex128)
+    block_mass = float(np.sum(np.abs(amps) ** 2))
+    if integer_spectrum and 1.0 - block_mass > UNCOMPUTE_ATOL:
+        raise PipelineInvariantError(
+            f"stray population outside data block: {1.0 - block_mass:.3e}"
+        )
+    if block_mass < ROUNDOFF:
+        raise ZeroProbabilityOutcome("no population left on clean work registers")
+    amps = amps / np.sqrt(block_mass)
+    if np.max(np.abs(amps.imag)) > UNCOMPUTE_ATOL:
+        raise PipelineInvariantError("post-selected amplitudes should be real")
+    return amps.real.copy()
 
 
 def run_qpca(
@@ -321,6 +365,9 @@ def run_qpca(
     and ``ValueError`` before any state is built when a block of
     2**(n_bits + m) amplitudes, m the data qubits, exceeds ``MAX_LIVE_AMPS``,
     or when ``filter_table`` does not match.
+
+    Every call continues from the input's slot (see ``_compiled``): the
+    state after state preparation and the first phase estimation.
     """
     layout = make_layout(hin, config.n_bits)
     live = 1 << (layout.eig_bits + layout.data_qubits)
@@ -338,9 +385,6 @@ def run_qpca(
             SpectralPrecisionWarning,
             stacklevel=2,
         )
-    compiled = _compiled(hin, layout)
-    for message in compiled.warned:
-        warnings.warn(message, stacklevel=2)
     if filter_table is None:
         filter_table = build_filter_table(FilterParams(config.tau, config.n_bits))
     params = filter_table.params
@@ -349,43 +393,26 @@ def run_qpca(
             f"filter table is for tau={params.tau}, n_bits={params.n_bits}; "
             f"config has tau={config.tau}, n_bits={config.n_bits}"
         )
+    compiled = _compiled(hin, layout)
+    for message in compiled.warned:
+        warnings.warn(message, stacklevel=2)
     kept_eigenvalues = tuple(hin.eigenvalues[params.keeps(hin.eigenvalues)].tolist())
 
     filt = build_filter_unitary(filter_table, layout)
     flip = ancilla_flip_gate(layout)
 
-    state = StateVector.zero(layout.num_qubits)
-    state = run(state, compiled.prep)
-    state = run(state, compiled.pe)
-    state = apply(state, filt)
-    state = apply(state, flip)
     atol = UNCOMPUTE_ATOL if hin.integer_spectrum else None
-    state = uncompute(state, layout, filt, compiled.pe, atol=atol)
-
+    # the slot keeps its state alive through the call, so no name here holds
+    # the filter and flip states through uncompute, the draw comes before
+    # post-selection, and the state before it goes before the readout
+    state = uncompute(
+        apply(apply(compiled.estimated, filt), flip), layout, filt, compiled.pe, atol=atol
+    )
+    raw = sample(state, config.shots, config.seed) if config.mode == "sampled" else None
     success_prob, collapsed = post_select(state, layout.ancilla, 1)
     success_prob = min(success_prob, 1.0)
-    # the state before post-selection is needed only for the sampled draw;
-    # dropping it here keeps its two blocks out of the second estimation
-    raw = sample(state, config.shots, config.seed) if config.mode == "sampled" else None
     del state
-
-    # With ancilla = 1 all mass should sit on clean work registers.
-    # Approximate spectra leak some mass outside that block; it is
-    # renormalized either way.
-    anc, y, lam, block = _work_rows(collapsed, layout)
-    clean = np.flatnonzero((anc == 1) & (y == 0) & (lam == 0))
-    amps = block[clean[0]] if clean.size else np.zeros(block.shape[1], dtype=np.complex128)
-    block_mass = float(np.sum(np.abs(amps) ** 2))
-    if hin.integer_spectrum and 1.0 - block_mass > UNCOMPUTE_ATOL:
-        raise PipelineInvariantError(
-            f"stray population outside data block: {1.0 - block_mass:.3e}"
-        )
-    if block_mass < ROUNDOFF:
-        raise ZeroProbabilityOutcome("no population left on clean work registers")
-    amps = amps / np.sqrt(block_mass)
-    if np.max(np.abs(amps.imag)) > UNCOMPUTE_ATOL:
-        raise PipelineInvariantError("post-selected amplitudes should be real")
-    output_amps = amps.real.copy()
+    output_amps = _readout(collapsed, layout, hin.integer_spectrum)
 
     try:
         _, expected = classical_pca_oracle(hin, params)

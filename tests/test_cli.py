@@ -213,6 +213,32 @@ class TestRunCommand:
                      "--out", str(tmp_path / "x.json")]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: n_bits must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shots", str(2**63)], f"shots must be >= 1 and <= 2**63 - 1, got {2**63}"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (
+                ["--eig-bits", "100000000"],
+                "n_bits must be <= 20, the widest register any input can run "
+                "within 4194304 live amplitudes, got 100000000",
+            ),
+        ],
+        ids=["shots-past-int64", "negative-seed", "eig-bits-past-any-input"],
+    )
+    def test_run_parameter_out_of_range_exits_two(
+        self, a_path, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # refused by QpcaConfig, before the matrix is read or anything simulated
+        def unreached(*_):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr("qpcasim.cli.run_command", unreached)
+        code = main(["run", "--matrix", a_path, "--tau", "1", "--eig-bits", "2",
+                     "--mode", "sampled", "--out", str(tmp_path / "x.json")] + flags)
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_register_too_wide_exits_two(self, tmp_path, capsys):
         # 64x64 at n = 11 is 2**23 live amplitudes, over the 2**22 limit:
         # refused before a 128 MiB block of them exists
@@ -259,10 +285,16 @@ class TestRunCommand:
                 f"[[1.5, 0], [-1{'0' * 400}, 1.5]]",
                 "row 2, column 1: not a finite number: integer too large for a float",
             ),
+            (
+                # past int()'s 4300-digit limit for string conversion
+                "huge.json",
+                f"[[1.5, 0], [0, 1{'0' * 5000}]]",
+                "row 2, column 2: not a finite number: integer too large for a float",
+            ),
         ],
         ids=[
             "csv-nan", "csv-inf", "json-nan", "json-minus-inf",
-            "json-huge-integer", "json-huge-negative-integer",
+            "json-huge-integer", "json-huge-negative-integer", "json-5001-digit-integer",
         ],
     )
     def test_non_finite_entry_exits_two(self, tmp_path, capsys, name, text, entry):

@@ -517,9 +517,9 @@ class TestRunQpca:
 
 
 class TestCompileSlot:
-    """An input keeps the state preparation and phase estimation of the
-    register width of its latest call, and builds them again only for
-    another width."""
+    """An input keeps, for the register width of its latest call, the state
+    after state preparation and phase estimation and the phase-estimation
+    circuit; it builds and runs them again only for another width."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -550,7 +550,7 @@ class TestCompileSlot:
             run_qpca(hin, QpcaConfig(tau=1.5, n_bits=n_bits))
             slot = hin._slot
             assert slot.n_bits == n_bits
-            assert slot.prep.num_qubits == slot.pe.num_qubits == make_layout(hin, n_bits).num_qubits
+            assert slot.estimated.num_qubits == slot.pe.num_qubits == make_layout(hin, n_bits).num_qubits
         # a width comes back only by a rebuild: the slot holds one width
         assert set(builds.values()) == {3}
 
@@ -578,13 +578,81 @@ class TestCompileSlot:
         finally:
             gc.enable()
 
+    def test_replaced_state_is_freed_at_a_width_change(self, matrix_c):
+        hin = HermitianInput.from_matrix(matrix_c)
+        gc.disable()
+        try:
+            run_qpca(hin, QpcaConfig(tau=1.5, n_bits=2))
+            top = make_layout(hin, 2).work_qubits
+            keys, block = (weakref.ref(a) for a in hin._slot.estimated.rows(top))
+            run_qpca(hin, QpcaConfig(tau=1.5, n_bits=2))
+            assert block() is not None
+            run_qpca(hin, QpcaConfig(tau=1.5, n_bits=3))
+            assert (keys(), block()) == (None, None)
+        finally:
+            gc.enable()
+
+    def test_slot_rows_are_read_only_and_kept_unchanged(self, matrix_c):
+        # stored split at the work registers, the rows the filter run reads
+        # and shares: no call may write them, an all-filtered call included
+        hin = HermitianInput.from_matrix(matrix_c)
+        run_qpca(hin, QpcaConfig(tau=1.5, n_bits=3))
+        slot, layout = hin._slot, make_layout(hin, 3)
+        assert slot.estimated._top == layout.work_qubits
+        keys, block = slot.estimated.rows(layout.work_qubits)
+        assert not keys.flags.writeable and not block.flags.writeable
+        before = keys.tobytes(), block.tobytes()
+        for tau, mode in ((0.5, "exact"), (1.5, "sampled"), (2.5, "exact")):
+            run_qpca(hin, QpcaConfig(tau=tau, n_bits=3, mode=mode))
+        with pytest.raises(ZeroProbabilityOutcome):
+            run_qpca(hin, QpcaConfig(tau=3.5, n_bits=3))
+        assert hin._slot is slot
+        again = slot.estimated.rows(layout.work_qubits)
+        assert again[0] is keys and again[1] is block
+        assert (keys.tobytes(), block.tobytes()) == before
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_cold_call_peak_stays_at_its_former_level(self, mode):
+        # Before the slot kept the estimated state, a cold call on this input
+        # peaked at 5.28 blocks of 16 * 2**(n+m) bytes (tracemalloc, numpy
+        # 2.4); the margin is 0.1 block.  The state the slot keeps alive
+        # through the call is offset by freeing the filter and flip states,
+        # the pre-selection state and the readout's rows before the second
+        # phase estimation.  A warm call skips the build and one block.
+        rng = np.random.default_rng(9)
+        tau = 0.4 * 2**8 + 0.5
+        mat, _ = random_integer_spectrum_matrix(rng, 16, 8, tau=tau)
+        hin, config = HermitianInput.from_matrix(mat), QpcaConfig(tau=tau, n_bits=8, mode=mode)
+        block_bytes = 16 << (8 + 8)
+        peaks = []
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                run_qpca(hin, config)
+                peaks.append(tracemalloc.get_traced_memory()[1] / block_bytes)
+            finally:
+                tracemalloc.stop()
+        cold, warm = peaks
+        assert cold < 5.28 + 0.1, peaks
+        assert warm < cold - 0.9, peaks
+
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_warm_cold_and_switched_calls_match_a_fresh_input(self, mode):
         rng = np.random.default_rng(11)
         mat = matrix_with_spectrum(rng, [6.0, 5.0, 3.0, 1.0])
         hin = HermitianInput.from_matrix(mat)
-        for n_bits, tau in ((3, 2.5), (3, 4.5), (4, 2.5), (3, 2.5)):
+        # a tau sweep at one width, the use a prepared input is for, with an
+        # all-filtered call in it; then another width and back
+        sweep = [(3, tau) for tau in (2.5, 4.5, 0.5, 6.5, 5.5, 1.5)]
+        for n_bits, tau in sweep + [(4, 2.5), (3, 2.5)]:
             config = QpcaConfig(tau=tau, n_bits=n_bits, mode=mode, shots=2000, seed=5)
+            if tau > 6.0:
+                for h in (hin, HermitianInput.from_matrix(mat)):
+                    with pytest.raises(ZeroProbabilityOutcome):
+                        run_qpca(h, config)
+                continue
             got = run_qpca(hin, config)
             fresh = run_qpca(HermitianInput.from_matrix(mat), config)
             assert np.array_equal(got.output_amps, fresh.output_amps)
@@ -725,3 +793,23 @@ class TestConfigValidation:
     def test_shots_positive(self):
         with pytest.raises(ValueError, match="shots"):
             QpcaConfig(tau=1.0, n_bits=2, shots=0)
+
+    @pytest.mark.parametrize("shots", [2**63, 10**20])
+    def test_shots_fit_a_64_bit_count(self, shots):
+        with pytest.raises(ValueError, match=rf"shots must be >= 1 and <= 2\*\*63 - 1, got {shots}"):
+            QpcaConfig(tau=1.0, n_bits=2, shots=shots)
+        assert QpcaConfig(tau=1.0, n_bits=2, shots=2**63 - 1).shots == 2**63 - 1
+
+    def test_seed_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            QpcaConfig(tau=1.0, n_bits=2, seed=-1)
+        assert QpcaConfig(tau=1.0, n_bits=2, seed=0).seed == 0
+
+    @pytest.mark.parametrize("n_bits", [21, 5000, 100_000_000])
+    def test_n_bits_within_the_widest_runnable_register(self, n_bits):
+        # a 2x2 input, m = 2, is the smallest: 2**(n+2) live amplitudes must
+        # fit MAX_LIVE_AMPS = 2**22, so n = 20 is the widest any input runs
+        assert 1 << (20 + 2) == pipeline.MAX_LIVE_AMPS
+        with pytest.raises(ValueError, match=rf"n_bits must be <= 20, .* got {n_bits}$"):
+            QpcaConfig(tau=1.0, n_bits=n_bits)
+        assert QpcaConfig(tau=1.0, n_bits=20).n_bits == 20
