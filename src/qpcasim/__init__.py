@@ -10,6 +10,7 @@ from .builders import (
     PhaseEstimationSpec,
     SpectralPrecisionWarning,
     build_phase_estimation,
+    build_register_shift,
     build_state_prep,
     state_prep_tree,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "build_filter_table",
     "build_filter_unitary",
     "build_phase_estimation",
+    "build_register_shift",
     "build_state_prep",
     "classical_pca_oracle",
     "cost_baseline",

@@ -1,4 +1,5 @@
-"""Circuit builders: phase estimation, binary-tree state preparation."""
+"""Circuit builders: phase estimation, its register-shift form for integer
+spectra, binary-tree state preparation."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filtering import SPECTRUM_ATOL
 from .sim import Circuit, GateOp, _check_unitary
 
 # Largest |A - A^T| entry accepted from a matrix said to be symmetric, by
@@ -81,6 +83,27 @@ class PhaseEstimationSpec:
         return self._eigvals.copy()
 
 
+def _pe_wiring(spec: PhaseEstimationSpec, lam_qubits, target_qubits, num_qubits):
+    """The register and target qubits as int tuples, checked against
+    ``spec`` and each other, and the circuit width (default: one past the
+    highest qubit)."""
+    lam_qubits = tuple(int(q) for q in lam_qubits)
+    target_qubits = tuple(int(q) for q in target_qubits)
+    if len(lam_qubits) != spec.eig_bits:
+        raise ValueError(
+            f"{len(lam_qubits)} register qubits given but spec asks for {spec.eig_bits}"
+        )
+    if (1 << len(target_qubits)) != spec.dim:
+        raise ValueError(
+            f"{len(target_qubits)} target qubits cannot hold a dimension-{spec.dim} matrix"
+        )
+    if set(lam_qubits) & set(target_qubits):
+        raise ValueError("register and target qubits overlap")
+    if num_qubits is None:
+        num_qubits = max(lam_qubits + target_qubits) + 1
+    return lam_qubits, target_qubits, num_qubits
+
+
 def build_phase_estimation(
     spec: PhaseEstimationSpec,
     lam_qubits,
@@ -106,30 +129,55 @@ def build_phase_estimation(
     elsewhere.  The register, then the targets, must be consecutive qubits
     in ascending order, as the phase gate acts on both.
 
+    This is the general form; the pipeline runs it for spectra that are not
+    integer, and ``build_register_shift``, the same unitary in three gates,
+    for integer ones.
+
     Each call builds F, a sign that needs no unitarity test, and checks
     V^T and the phase gate; V and F's dagger reuse their checked matrices.
     """
-    lam_qubits = tuple(int(q) for q in lam_qubits)
-    target_qubits = tuple(int(q) for q in target_qubits)
-    if len(lam_qubits) != spec.eig_bits:
-        raise ValueError(
-            f"{len(lam_qubits)} register qubits given but spec asks for {spec.eig_bits}"
-        )
-    if (1 << len(target_qubits)) != spec.dim:
-        raise ValueError(
-            f"{len(target_qubits)} target qubits cannot hold a dimension-{spec.dim} matrix"
-        )
-    if set(lam_qubits) & set(target_qubits):
-        raise ValueError("register and target qubits overlap")
-    if num_qubits is None:
-        num_qubits = max(lam_qubits + target_qubits) + 1
-
+    lam_qubits, target_qubits, num_qubits = _pe_wiring(spec, lam_qubits, target_qubits, num_qubits)
     fourier = GateOp(1, lam_qubits, label="QFT")
     to_eigenbasis = GateOp(spec._eigvecs.T, target_qubits, label="V^T")
     phases = np.exp(2j * np.pi * np.outer(np.arange(spec.scale), spec._eigvals) / spec.scale)
     powers = GateOp(phases.reshape(-1, 1, 1), lam_qubits + target_qubits, label="c-U^b")
     gates = (fourier, to_eigenbasis, powers, to_eigenbasis.dagger(), fourier.dagger())
     return Circuit(num_qubits, gates)
+
+
+def build_register_shift(
+    spec: PhaseEstimationSpec,
+    lam_qubits,
+    target_qubits,
+    num_qubits: int | None = None,
+) -> Circuit:
+    """Phase estimation of an integer spectrum in three gates: V^T on the
+    targets, a table add of round(lambda_k) mod 2**n into the register
+    keyed by the eigen-index k on the targets, and V.
+
+    ``build_phase_estimation``'s F, V^T, D, V, F^dagger equal
+    V (F^dagger D F) V^T, as F acts on the register and V on the targets;
+    for eigen-index k, F^dagger D_k F maps |j> to |j + lambda_k mod 2**n>
+    when lambda_k is an integer, since phase estimation of an integer phase
+    is exact (Cleve, Ekert, Macchiavello and Mosca, quant-ph/9708016).  So
+    the two circuits are one unitary, on every register value, for a
+    spectrum of integers; this one does no arithmetic on amplitudes in the
+    register and keeps a state's register values as few as its distinct
+    eigenvalues.  The wiring is ``build_phase_estimation``'s.
+
+    Raises ``ValueError`` unless every eigenvalue is within
+    ``SPECTRUM_ATOL`` of an integer, the register value it is read as.
+    """
+    lam_qubits, target_qubits, num_qubits = _pe_wiring(spec, lam_qubits, target_qubits, num_qubits)
+    shifts = np.rint(spec._eigvals)
+    off = np.max(np.abs(spec._eigvals - shifts))
+    if not off <= SPECTRUM_ATOL:
+        raise ValueError(
+            f"an eigenvalue lies {off:.3g} from the nearest integer, more than {SPECTRUM_ATOL:g}"
+        )
+    to_eigenbasis = GateOp(spec._eigvecs.T, target_qubits, label="V^T")
+    shift = GateOp(shifts.astype(np.int64), lam_qubits + target_qubits, label="+lambda")
+    return Circuit(num_qubits, (to_eigenbasis, shift, to_eigenbasis.dagger()))
 
 
 @dataclass(eq=False)

@@ -8,6 +8,14 @@ and post-selects the ancilla.  What survives is the eigenvalue-thresholded
 state  sum_{k kept} sigma_k |u_k>|u_k>  up to normalization, kept meaning
 ``FilterParams.keeps``; a second phase estimation re-reads the kept eigenvalues.
 
+Phase estimation takes one of two forms, picked by
+``HermitianInput.integer_spectrum``, the rule ``keeps`` and the oracle read
+eigenvalues by.  An integer spectrum runs ``build_register_shift``: V^T, a
+table add of round(lambda_k) into the register, V, which writes exactly the
+register values ``keeps`` assumes and keeps the state on one row per
+distinct eigenvalue.  Any other spectrum runs ``build_phase_estimation``'s
+Fourier form, which spreads each eigenvalue over the register.
+
 A ``HermitianInput`` is immutable and keeps one slot for its latest register
 width: the state after state preparation and phase estimation, and the
 phase-estimation circuit, which depend on the input and that width alone.
@@ -32,6 +40,7 @@ from .builders import (
     PhaseEstimationSpec,
     SpectralPrecisionWarning,
     build_phase_estimation,
+    build_register_shift,
     build_state_prep,
     symmetric_matrix,
 )
@@ -62,12 +71,17 @@ UNCOMPUTE_ATOL = 1e-9
 # Largest block of 2**(n+m) amplitudes that run_qpca simulates.  From phase
 # estimation on a state holds at most two such blocks for any spectrum; the
 # filter and flip tables (2**n entries) and the phase gate (2**(n+k)) are
-# smaller, and basis indices stay under 44 bits.  A first call at a width
-# peaks at 5.1 blocks of 16 * 2**(n+m) bytes (dim 16 at n = 12, dim 256 at
-# n = 6), and at up to 8.6 where its row keys are as large as its rows (dim 2
-# at n = 20): about 550 MiB at this limit.  A later call, which starts at the
-# filter, peaks about one block lower.  Between calls an input holds at most
-# 1.5 blocks: its estimated state of one register width (one block) and that
+# smaller, and basis indices stay under 44 bits.  For a spectrum that is not
+# integer, a first call at a width peaks at 5.3 blocks of 16 * 2**(n+m)
+# bytes (dim 16 at n = 8), and at up to 8.6 where its row keys are as large
+# as its rows (dim 2 at n = 20): about 550 MiB at this limit.  A later call,
+# which starts at the filter, peaks about one block lower.  An integer
+# spectrum's register shift fills one row of 2**m amplitudes per distinct
+# eigenvalue, not the block, and its calls peak at a fraction of a block
+# (dim 16 at n = 12: 0.03 cold, 0.02 warm); at dim 2 and n = 20 the 2**n
+# entries of the filter and flip tables dominate, about 1.3 blocks.  Between
+# calls an input holds at most 1.5 blocks: its estimated state of one
+# register width (one block) and, for a spectrum that is not integer, that
 # width's phase gate, 16 * 2**(n+m/2) bytes, at most half a block as m >= 2.
 MAX_LIVE_AMPS = 2**22
 
@@ -297,6 +311,8 @@ def make_layout(hin: HermitianInput, n_bits: int) -> RegisterLayout:
 def _compiled(hin: HermitianInput, layout: RegisterLayout) -> _Compiled:
     """``hin``'s slot at ``layout``'s register width: the input's own, or
     built, run from |0> and put in the slot in place of another width's.
+    Phase estimation is a register shift for an integer spectrum and the
+    Fourier form for any other.
     Warnings the build gives are kept in the slot, for the caller to repeat
     on every call; warnings of the runs are not."""
     slot = hin._slot
@@ -307,7 +323,8 @@ def _compiled(hin: HermitianInput, layout: RegisterLayout) -> _Compiled:
             prep = build_state_prep(
                 hin.amplitude_encoding, qubits=layout.data_reg, num_qubits=layout.num_qubits
             )
-            pe = build_phase_estimation(pe_spec, layout.lambda_reg, layout.u_reg, layout.num_qubits)
+            build_pe = build_register_shift if hin.integer_spectrum else build_phase_estimation
+            pe = build_pe(pe_spec, layout.lambda_reg, layout.u_reg, layout.num_qubits)
         # two runs, not one circuit: a run of gates works from its lowest
         # qubit, where prep would act on 2**n copies of the data register
         state = run(run(StateVector.zero(layout.num_qubits), prep), pe)
@@ -356,10 +373,11 @@ def run_qpca(
     sqrt(count / kept).
 
     Non-integer spectra are accepted with a warning: phase estimation then
-    spreads each eigenvalue over nearby register values, the filter acts on
-    that spread, and the work registers cannot be uncomputed exactly.  The
-    reported output is the renormalized clean-register branch, a soft
-    approximation of the thresholded state.
+    runs in its Fourier form, not as a register shift (see the module
+    docstring), and spreads each eigenvalue over nearby register values;
+    the filter acts on that spread, and the work registers cannot be
+    uncomputed exactly.  The reported output is the renormalized
+    clean-register branch, a soft approximation of the thresholded state.
 
     Raises ``ZeroProbabilityOutcome`` when every component is filtered out,
     and ``ValueError`` before any state is built when a block of

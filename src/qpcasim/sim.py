@@ -13,15 +13,20 @@ Live rows.  Split at a qubit ``top``, a state is the (2**top, 2**(Q-top))
 array of its rows: row r holds the amplitudes whose qubits 0 .. top-1 spell
 r.  A ``StateVector`` stores ``(top, keys, block)``: ``keys`` lists, in
 ascending (basis) order, the rows that may hold a nonzero amplitude, and
-``block`` holds those rows; every other row is exactly zero.  Memory and the
-finiteness and norm checks therefore cost O(live amplitudes), not O(2**Q).
+``block`` holds those rows; every other row is zero, or was dropped as
+round-off.  Memory and the finiteness and norm checks therefore cost
+O(live amplitudes), not O(2**Q).
 
 * ``run`` takes its circuit in runs of gates of one kind.  It re-keys the
   state to a run's ``top``, the lowest qubit the run touches.  Going coarser
-  merges rows; going finer drops sub-rows that are exactly zero (an exact
-  test, so a row holding NaN stays live).  Gates that leave qubits 0 ..
-  top-1 untouched act as I (x) U on the rows, so a zero row stays zero, and
-  each gate is applied to the block alone through ``_apply_into``.
+  merges rows; going finer drops sub-rows whose every amplitude has
+  magnitude at or below ``ROUNDOFF``, the round-off floor (a row holding
+  NaN fails that test and stays live).  A unit-norm state loses at most
+  ``ROUNDOFF**2`` of probability per dropped amplitude, far inside
+  ``NORM_ATOL``, and ``sample`` draws no shot on such an amplitude either
+  way.  Gates that leave qubits 0 .. top-1 untouched act as I (x) U on the
+  rows, so a zero row stays zero, and each gate is applied to the block
+  alone through ``_apply_into``.
 * A run of table adds (the eigenvalue filter, the ancilla flip) instead
   moves every qubit it touches into the key and maps the keys: O(live rows)
   of index arithmetic, no arithmetic on amplitudes.  The block's rows are
@@ -30,8 +35,12 @@ finiteness and norm checks therefore cost O(live amplitudes), not O(2**Q).
   ``amps`` builds the dense array on demand.
 
 In the pipeline, phase estimation touches only the lambda register and the
-row half of the data register while the ancilla and y register hold one or
-two values, so every stage works on one or two times 2**(n+m) amplitudes.
+row half of the data register, while the ancilla and y register hold one or
+two values.  For an integer spectrum it is a table add between V^T and V,
+so the lambda register holds one value per distinct eigenvalue, and every
+stage works on about that many rows of 2**m amplitudes.  The Fourier form
+that other spectra need fills every lambda value: one or two times
+2**(n+m) amplitudes.
 
 Targets are a range.  A gate acts on k consecutive qubits, given in
 ascending order, and stores them as (first qubit, count); any other wiring
@@ -166,10 +175,11 @@ class StateVector:
             out = np.zeros((merged.size, 1 << shift, block.shape[1]), dtype=np.complex128)
             out[np.cumsum(starts) - 1, keys & ((1 << shift) - 1)] = block
             return merged, out.reshape(merged.size, -1)
-        # finer: each row splits into 2**shift sub-rows, and the exactly-zero
-        # ones are dropped (NaN is not zero, so its sub-row stays live)
+        # finer: each row splits into 2**shift sub-rows, and the round-off
+        # ones, every |amplitude| at or below ROUNDOFF, are dropped (NaN
+        # compares false, so its sub-row stays live)
         sub = block.reshape(keys.size << shift, -1)
-        live = np.any(sub, axis=1)
+        live = ~(np.abs(sub).max(axis=1) <= ROUNDOFF)
         split = ((keys[:, None] << shift) | np.arange(1 << shift)).reshape(-1)
         return split[live], sub[live]
 

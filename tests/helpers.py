@@ -8,10 +8,12 @@ evidence, not tautology.
 import functools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from qpcasim import Circuit, GateOp, StateVector, hadamard, ry, run, state_prep_tree
+from qpcasim.sim import ROUNDOFF
 
 
 class Wired:
@@ -331,6 +333,86 @@ def flip_permutation_matrix(n_bits: int) -> np.ndarray:
             dst = (anc ^ (y != 0)) * size + y
             perm[dst, src] = 1.0
     return perm
+
+
+def apply_on_axes(psi: np.ndarray, matrix, targets) -> np.ndarray:
+    """``psi``, a state of shape (2,) * Q, after the 2**k x 2**k ``matrix``
+    on the qubits ``targets`` in any order, the first target the top bit of
+    the matrix index: one ``np.tensordot`` on the target axes."""
+    k = len(targets)
+    gate = np.asarray(matrix).reshape((2,) * (2 * k))
+    out = np.tensordot(gate, psi, axes=(tuple(range(k, 2 * k)), tuple(targets)))
+    return np.moveaxis(out, tuple(range(k)), tuple(targets))
+
+
+def phase_estimation_on_axes(psi, matrix, n_bits, lam_axes, u_axes, inverse=False):
+    """Phase estimation of ``matrix`` on a dense state of shape (2,) * Q: F
+    on the register, one controlled U**(2**(n-1-i)) per register qubit i
+    with U = exp(2 pi i A / 2**n) from ``exp_matrices``, then F^dagger.
+    ``inverse`` runs the adjoint, F, the controlled inverse powers, then
+    F^dagger.  F is the DFT, not a layer of Hadamards: the two agree only
+    on a zero register, and the inverse runs on registers that are not."""
+    dft, dim = dft_matrix(n_bits), 1 << len(u_axes)
+    powers = exp_matrices(SimpleNamespace(matrix=matrix, scale=1 << n_bits), range(n_bits))
+    psi = apply_on_axes(psi, dft, lam_axes)
+    for i, q in enumerate(lam_axes):
+        u = powers[n_bits - 1 - i]
+        controlled_u = np.eye(2 * dim, dtype=complex)
+        controlled_u[dim:, dim:] = u.conj().T if inverse else u
+        psi = apply_on_axes(psi, controlled_u, (q,) + tuple(u_axes))
+    return apply_on_axes(psi, dft.conj().T, lam_axes)
+
+
+def reference_pipeline(matrix, table):
+    """The paper's filtering pipeline on a dense vector of 1 + 2n + m
+    qubits, [ancilla | y | lambda | data] as in ``RegisterLayout``, with
+    numpy alone and never a 2**Q x 2**Q operator.  Its stages, in the
+    paper's order: state preparation (the encoding A / ||A||_F, row-major,
+    on the data register); phase estimation into lambda, its targets the
+    row half of the data register (``phase_estimation_on_axes``); the
+    filter ``table`` on y and lambda and the ancilla flip on the ancilla
+    and y, as dense permutations; the filter's inverse and the inverse
+    phase estimation, on both ancilla branches; post-selection of the
+    ancilla at 1; the second phase estimation.
+
+    Returns a namespace: ``success``, the probability of ancilla 1;
+    ``data_probs``, the probability of ancilla 1 and each data value,
+    whatever the work registers read; ``amps``, the post-selected data
+    amplitudes on clean work registers, renormalized, and ``histogram``, the
+    lambda-register masses after the second phase estimation, both None
+    when ancilla 1 or the clean rows hold less than ``ROUNDOFF``."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    n = table.params.n_bits
+    m = 2 * (matrix.shape[0].bit_length() - 1)
+    q = 1 + 2 * n + m
+    y_axes, lam_axes = tuple(range(1, 1 + n)), tuple(range(1 + n, 1 + 2 * n))
+    u_axes = tuple(range(1 + 2 * n, 1 + 2 * n + m // 2))
+
+    psi = np.zeros(1 << q, dtype=complex)
+    psi[: 1 << m] = matrix.reshape(-1) / np.linalg.norm(matrix)
+    psi = psi.reshape((2,) * q)
+    psi = phase_estimation_on_axes(psi, matrix, n, lam_axes, u_axes)
+    filter_perm = filter_permutation_matrix(table)
+    psi = apply_on_axes(psi, filter_perm, y_axes + lam_axes)
+    psi = apply_on_axes(psi, flip_permutation_matrix(n), (0,) + y_axes)
+    psi = apply_on_axes(psi, filter_perm.T, y_axes + lam_axes)
+    psi = phase_estimation_on_axes(psi, matrix, n, lam_axes, u_axes, inverse=True)
+
+    rows = psi.reshape(2, 1 << n, 1 << n, 1 << m)
+    data_probs = np.sum(np.abs(rows[1]) ** 2, axis=(0, 1))
+    out = SimpleNamespace(success=float(data_probs.sum()), data_probs=data_probs, amps=None, histogram=None)
+    if out.success < ROUNDOFF:
+        return out
+    collapsed = np.zeros_like(rows)
+    collapsed[1] = rows[1] / math.sqrt(out.success)
+    clean = collapsed[1, 0, 0]
+    clean_mass = float(np.sum(np.abs(clean) ** 2))
+    if clean_mass < ROUNDOFF:
+        return out
+    out.amps = clean / math.sqrt(clean_mass)
+    estimated = phase_estimation_on_axes(collapsed.reshape((2,) * q), matrix, n, lam_axes, u_axes)
+    out.histogram = np.sum(np.abs(estimated.reshape(2, 1 << n, 1 << n, -1)) ** 2, axis=(0, 1, 3))
+    return out
 
 
 def dft_matrix(num_qubits: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from qpcasim import (
     SpectralPrecisionWarning,
     StateVector,
     build_phase_estimation,
+    build_register_shift,
     build_state_prep,
     hadamard,
     run,
@@ -312,6 +315,67 @@ class TestPhaseEstimation:
         spec = PhaseEstimationSpec(matrix_a, eig_bits=2)
         with pytest.raises(ValueError, match="overlap"):
             build_phase_estimation(spec, (0, 1), (1,))
+
+
+class TestRegisterShift:
+    def test_equals_phase_estimation_as_a_unitary(self):
+        # V^T, the shift by round(lambda_k) and V against F, V^T, the phase
+        # gate, V and F^dag on every column, the nonzero registers included:
+        # integer spectra in range, degenerate, and wrapping (negative, or
+        # 2**n and above)
+        rng = np.random.default_rng(31)
+        for n in range(1, 5):
+            for dim in (2, 4, 8):
+                m = dim.bit_length() - 1
+                top = 1 << n
+                spectra = (
+                    rng.integers(0, top, size=dim),
+                    np.repeat(rng.integers(0, top, size=dim // 2), 2),
+                    rng.integers(-top, 2 * top, size=dim),
+                )
+                for lams in spectra:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", SpectralPrecisionWarning)
+                        spec = PhaseEstimationSpec(matrix_with_spectrum(rng, lams), n)
+                    lam, target = tuple(range(n)), tuple(range(n, n + m))
+                    got = circuit_unitary(build_register_shift(spec, lam, target))
+                    want = circuit_unitary(build_phase_estimation(spec, lam, target))
+                    assert np.max(np.abs(got - want)) < 1e-12, (n, dim, lams)
+
+    def test_three_gates_and_a_table_of_one_entry_per_eigen_index(self):
+        with pytest.warns(SpectralPrecisionWarning):
+            spec = PhaseEstimationSpec(np.diag([5.0, 1.0, 0.0, 3.0]), 2)
+        pe = build_register_shift(spec, (1, 2), (3, 4), 6)
+        to_eigen, shift, from_eigen = pe.ops
+        assert pe.num_qubits == 6
+        assert to_eigen.label == from_eigen.label == "V^T"
+        assert to_eigen.targets == from_eigen.targets == (3, 4)
+        assert np.array_equal(from_eigen.matrix, to_eigen.dagger().matrix)
+        assert shift.targets == (1, 2, 3, 4)
+        # eigh's ascending eigenvalues 0, 1, 3, 5, read mod 4
+        assert shift.matrix.tolist() == [0, 1, 3, 1]
+
+    def test_reads_near_integer_eigenvalues_as_integers(self):
+        spec = PhaseEstimationSpec(np.diag([1.0000005, 5.0000009]), 3)
+        pe = build_register_shift(spec, (0, 1, 2), (3,))
+        got = run(pe_input(3, np.array([0.6, 0.8])), pe).amps
+        want = 0.6 * np.kron(np.eye(8)[1], [1, 0]) + 0.8 * np.kron(np.eye(8)[5], [0, 1])
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_checks_the_wiring_as_phase_estimation_does(self, matrix_a, matrix_c):
+        spec_a, spec_c = PhaseEstimationSpec(matrix_a, 2), PhaseEstimationSpec(matrix_c, 2)
+        for spec, lam, target, message in (
+            (spec_a, (0, 1, 2), (3,), "register"),
+            (spec_c, (0, 1), (2,), "target"),
+            (spec_a, (0, 1), (1,), "overlap"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build_register_shift(spec, lam, target)
+
+    def test_refuses_a_spectrum_off_the_integers(self):
+        spec = PhaseEstimationSpec(np.diag([1.0, 2.0 + 2e-6]), 2)
+        with pytest.raises(ValueError, match="from the nearest integer, more than 1e-06"):
+            build_register_shift(spec, (0, 1), (2,))
 
 
 class TestStatePrep:

@@ -196,6 +196,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "filtered" in err
 
+    def test_near_integer_spectrum_all_filtered_exits_three(self, tmp_path, capsys):
+        # within SPECTRUM_ATOL of 1 and 5, so read as 1 and 5, both below
+        # tau: phase estimation must put no round-off mass on a kept value
+        matrix = tmp_path / "near.csv"
+        matrix.write_text("1.0000005,0\n0,5.0000009\n")
+        code = main(["run", "--matrix", str(matrix), "--tau", "5.5", "--eig-bits", "3",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_FILTERED
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "filtered" in err
+
     def test_bad_tau_exits_two(self, a_path, tmp_path, capsys):
         code = main(["run", "--matrix", a_path, "--tau", "-1", "--eig-bits", "2",
                      "--out", str(tmp_path / "x.json")])

@@ -14,6 +14,7 @@ from helpers import (
     gate_matrix,
     matrix_with_spectrum,
     random_integer_spectrum_matrix,
+    reference_pipeline,
     simulated_matrix,
 )
 from qpcasim import (
@@ -44,6 +45,7 @@ from qpcasim import (
     sim,
     uncompute,
 )
+from qpcasim.sim import ROUNDOFF
 
 
 class TestHermitianInput:
@@ -456,8 +458,10 @@ class TestRunQpca:
 
     def test_warm_call_tables_hold_one_entry_per_register_value(self, monkeypatch):
         # the filter and the flip are table adds of 2**n entries: a warm call
-        # builds the filter, the flip and uncompute's filter^dagger, and no
-        # table over the joint y+lambda register (4096 entries at n = 6)
+        # builds the filter, the flip and uncompute's filter^dagger, and the
+        # inverse phase estimation's register shift of one entry per
+        # eigen-index; no table over the joint y+lambda register (4096
+        # entries at n = 6)
         rng = np.random.default_rng(8)
         mat, _ = random_integer_spectrum_matrix(rng, 4, 6, tau=20.5)
         hin, config = HermitianInput.from_matrix(mat), QpcaConfig(tau=20.5, n_bits=6)
@@ -472,7 +476,7 @@ class TestRunQpca:
 
         monkeypatch.setattr(sim.GateOp, "_set", record)
         assert abs(run_qpca(hin, config).fidelity - 1.0) < 1e-9
-        assert sizes == [64] * 3
+        assert sorted(sizes) == [4, 64, 64, 64]
 
     def test_rejects_non_power_of_two_dimension(self):
         hin = HermitianInput.from_matrix(np.eye(3))
@@ -523,14 +527,20 @@ class TestCompileSlot:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        counts = dict.fromkeys(
-            ("PhaseEstimationSpec", "build_state_prep", "build_phase_estimation"), 0
-        )
-        for name in counts:
+        # either phase-estimation builder counts as the one build of the
+        # phase-estimation circuit
+        keys = {
+            "PhaseEstimationSpec": "PhaseEstimationSpec",
+            "build_state_prep": "build_state_prep",
+            "build_phase_estimation": "build_phase_estimation",
+            "build_register_shift": "build_phase_estimation",
+        }
+        counts = dict.fromkeys(keys.values(), 0)
+        for name, key in keys.items():
             original = getattr(pipeline, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
+            def counted(*args, _key=key, _original=original, **kwargs):
+                counts[_key] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(pipeline, name, counted)
@@ -573,7 +583,7 @@ class TestCompileSlot:
             run_qpca(hin, QpcaConfig(tau=1.5, n_bits=2))
             old = [weakref.ref(op.matrix) for op in hin._slot.pe]
             run_qpca(hin, QpcaConfig(tau=1.5, n_bits=3))
-            assert [ref() for ref in old] == [None] * 5
+            assert [ref() for ref in old] == [None] * len(old)
             assert [ref() for ref in filter_tables] == [None, None]
         finally:
             gc.enable()
@@ -620,7 +630,11 @@ class TestCompileSlot:
         # 2.4); the margin is 0.1 block.  The state the slot keeps alive
         # through the call is offset by freeing the filter and flip states,
         # the pre-selection state and the readout's rows before the second
-        # phase estimation.  A warm call skips the build and one block.
+        # phase estimation.  Phase estimation of this integer spectrum is a
+        # register shift, which keeps the state on its few register values,
+        # so neither call holds a whole block: a cold call measured 0.20
+        # (exact) and 0.22 (sampled) blocks, a warm call, which skips the
+        # build, 0.12 and 0.16.  The warm bound is its measure plus 0.1 block.
         rng = np.random.default_rng(9)
         tau = 0.4 * 2**8 + 0.5
         mat, _ = random_integer_spectrum_matrix(rng, 16, 8, tau=tau)
@@ -636,7 +650,7 @@ class TestCompileSlot:
                 tracemalloc.stop()
         cold, warm = peaks
         assert cold < 5.28 + 0.1, peaks
-        assert warm < cold - 0.9, peaks
+        assert warm < {"exact": 0.12, "sampled": 0.16}[mode] + 0.1, peaks
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_warm_cold_and_switched_calls_match_a_fresh_input(self, mode):
@@ -711,19 +725,24 @@ def threshold_cases(draw):
     lams = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=dim, max_size=dim))
     top = max(lams)
     assume(top > 0)
+    tau = draw_tau(draw, top, n, sorted({lam for lam in lams if 0 < lam < top}))
+    return lams, tau, n, draw(st.integers(0, 2**32 - 1))
+
+
+def draw_tau(draw, top, n, eigenvalues):
+    """A tau in (0, top) on the n-bit register grid, off it, or one of
+    ``eigenvalues``."""
     kind = draw(st.sampled_from(["grid", "off-grid", "eigenvalue"]))
     if kind == "grid":
-        tau = draw(st.integers(1, (top << n) - 1)) / (1 << n)
-    elif kind == "off-grid":
+        return draw(st.integers(1, (top << n) - 1)) / (1 << n)
+    if kind == "off-grid":
         tau = draw(st.integers(0, top - 1)) + draw(
             st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
         )
         assume(tau * (1 << n) != round(tau * (1 << n)))
-    else:
-        below_top = sorted({lam for lam in lams if 0 < lam < top})
-        assume(below_top)
-        tau = float(draw(st.sampled_from(below_top)))
-    return lams, tau, n, draw(st.integers(0, 2**32 - 1))
+        return tau
+    assume(eigenvalues)
+    return float(draw(st.sampled_from(eigenvalues)))
 
 
 class TestThresholdProperty:
@@ -744,6 +763,125 @@ class TestThresholdProperty:
         assert r.fidelity >= 1 - 1e-9
         want = sum(lam * lam for lam in kept) / sum(lam * lam for lam in lams)
         assert abs(r.success_prob - want) < 1e-9
+
+
+@st.composite
+def near_integer_cases(draw):
+    """(eigenvalues, tau, n_bits, seed): each eigenvalue within 9e-7 of an
+    integer in [0, 2**n), dims 2 to 8, n 2 to 4, and a half-integer tau,
+    half the time just above the largest, where nothing is kept."""
+    n = draw(st.integers(2, 4))
+    dim = 1 << draw(st.integers(1, 3))
+    ints = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=dim, max_size=dim))
+    assume(max(ints) > 0)
+    # in steps of 1e-7, so the largest distance, 9e-7, comes up often
+    offsets = draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        tau = max(ints) + 0.5
+    else:
+        tau = draw(st.integers(1, (1 << n) - 1)) - 0.5
+    lams = [lam + off * 1e-7 for lam, off in zip(ints, offsets)]
+    return lams, tau, n, draw(st.integers(0, 2**32 - 1))
+
+
+class TestNearIntegerProperty:
+    # A spectrum within SPECTRUM_ATOL of integers is read as those integers
+    # by the filter and the oracle alike, so no round-off mass may reach a
+    # kept register value.  About one draw in a hundred failed when phase
+    # estimation spread such an eigenvalue over nearby values.
+    @settings(max_examples=300, deadline=None)
+    @given(near_integer_cases())
+    def test_all_filtered_exactly_when_the_oracle_keeps_nothing(self, case):
+        lams, tau, n, seed = case
+        hin = HermitianInput.from_matrix(matrix_with_spectrum(np.random.default_rng(seed), lams))
+        assume(hin.integer_spectrum)
+        params, config = FilterParams(tau, n), QpcaConfig(tau=tau, n_bits=n)
+        try:
+            kept = classical_pca_oracle(hin, params)[0]
+        except AllComponentsFiltered:
+            kept = 0
+        with warnings.catch_warnings():
+            # an eigenvalue just below 0 is reported as wrapping
+            warnings.simplefilter("ignore", SpectralPrecisionWarning)
+            if kept == 0:
+                with pytest.raises(ZeroProbabilityOutcome):
+                    run_qpca(hin, config)
+            else:
+                assert run_qpca(hin, config).kept_count == kept
+
+
+@st.composite
+def reference_cases(draw):
+    """(eigenvalues, tau, n_bits, seed) within 16 qubits, 1 + 2n + m with
+    dims 2 to 16 and n 1 to 5: an integer spectrum in [0, 2**n) with
+    repeats, one that wraps (negative, or 2**n and above), or a non-integer
+    one; tau on the register grid, off it, or at an eigenvalue."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, min(5, (15 - 2 * k) // 2)))
+    dim, top = 1 << k, 1 << n
+    kind = draw(st.sampled_from(["integer", "wrapping", "non-integer"]))
+    if kind == "integer":
+        lams = draw(st.lists(st.integers(0, top - 1), min_size=dim, max_size=dim))
+    elif kind == "wrapping":
+        lams = draw(st.lists(st.integers(-top, 2 * top - 1), min_size=dim, max_size=dim))
+        assume(min(lams) < 0 or max(lams) >= top)
+    else:
+        reals = st.floats(-1.0, top, allow_nan=False).map(lambda x: round(x, 3))
+        lams = draw(st.lists(reals, min_size=dim, max_size=dim))
+        assume(max(abs(lam - round(lam)) for lam in lams) > 1e-3)
+    assume(any(lams))
+    tau = draw_tau(draw, top, n, sorted({lam for lam in lams if lam > 0}))
+    return lams, tau, n, draw(st.integers(0, 2**32 - 1))
+
+
+class TestReferencePipeline:
+    """``run_qpca`` against ``reference_pipeline``, the paper's stages on a
+    dense vector with numpy alone (``tests/helpers.py``)."""
+
+    @staticmethod
+    def run_both(case, mode):
+        lams, tau, n, seed = case
+        hin = HermitianInput.from_matrix(matrix_with_spectrum(np.random.default_rng(seed), lams))
+        config = QpcaConfig(tau=tau, n_bits=n, mode=mode, shots=4000, seed=seed)
+        ref = reference_pipeline(hin.matrix, build_filter_table(FilterParams(tau, n)))
+        with warnings.catch_warnings():
+            # spectra that wrap, or are not integer, are run with a warning
+            warnings.simplefilter("ignore", SpectralPrecisionWarning)
+            if ref.amps is None:
+                with pytest.raises(ZeroProbabilityOutcome):
+                    run_qpca(hin, config)
+                return None, ref
+            return run_qpca(hin, config), ref
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(reference_cases())
+    def test_exact_mode_matches_the_reference(self, case):
+        got, ref = self.run_both(case, "exact")
+        if got is None:
+            return
+        assert np.max(np.abs(got.output_amps - ref.amps)) < 1e-12
+        assert abs(got.success_prob - min(ref.success, 1.0)) < 1e-12
+        for value, mass in enumerate(ref.histogram):
+            if value in got.lambda_histogram:
+                assert abs(got.lambda_histogram[value] - mass) < 1e-12, value
+            else:  # dropped as round-off
+                assert mass < ROUNDOFF + 1e-12, value
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(reference_cases())
+    def test_sampled_counts_lie_within_eight_sigma(self, case):
+        got, ref = self.run_both(case, "sampled")
+        if got is None:
+            return
+        shots = got.shots
+
+        def within(count, p):
+            p = min(p, 1.0)  # a sum of squares can pass 1 by an ulp
+            return abs(count - shots * p) <= 8 * np.sqrt(shots * p * (1 - p)) + 1
+
+        assert within(sum(got.counts.values()), ref.success)
+        for value, p in enumerate(ref.data_probs):
+            assert within(got.counts.get(value, 0), p), value
 
 
 class TestSampledMode:

@@ -746,6 +746,18 @@ class TestLiveRowState:
             with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
                 post_select(s, 3, (index & 1))
 
+    def test_finer_split_drops_round_off_sub_rows(self):
+        # a sub-row whose every magnitude is at or below ROUNDOFF is dropped
+        # at a finer split; one amplitude above the floor keeps its sub-row
+        amps = np.zeros(16, dtype=complex)
+        amps[0] = 1.0
+        amps[5], amps[6] = ROUNDOFF, 0.5j * ROUNDOFF  # row 1 of qubits 0-1
+        amps[9] = 2 * ROUNDOFF  # row 2
+        s = StateVector(amps)  # stored as one row
+        keys, block = s.rows(2)
+        assert keys.tolist() == [0, 2]
+        assert np.array_equal(block, amps.reshape(4, 4)[[0, 2]])
+
     def test_owned_rejects_bad_keys(self):
         block = np.full((2, 2), 0.5, dtype=complex)
         for keys in ([1, 0], [0, 0], [0, 4], [-1, 0]):
