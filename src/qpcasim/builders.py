@@ -54,7 +54,11 @@ class PhaseEstimationSpec:
         if self.eig_bits < 1:
             raise ValueError("eig_bits must be >= 1")
         eigvals, eigvecs = np.linalg.eigh(m)
-        if eigvals.min() < -1e-9 or eigvals.max() >= (1 << self.eig_bits):
+        # the register reads lambda within SPECTRUM_ATOL of an integer as that
+        # integer, as FilterParams.keeps does, and any other lambda as itself
+        near = np.rint(eigvals)
+        read = np.where(np.abs(eigvals - near) <= SPECTRUM_ATOL, near, eigvals)
+        if read.min() < 0 or read.max() >= (1 << self.eig_bits):
             warnings.warn(
                 f"eigenvalues span [{eigvals.min():.4g}, {eigvals.max():.4g}], outside "
                 f"[0, {1 << self.eig_bits}); register readout will wrap",
@@ -117,17 +121,21 @@ def build_phase_estimation(
     come out entangled with their eigenvalue register states.  The register
     reads lambda with ``lam_qubits[0]`` as its most significant bit.
 
-    The circuit has 5 gates for any n = eig_bits: the QFT F on the
-    register; V^T on the targets, V the eigenvectors of A; one diagonal
-    phase gate on register and targets, a (2**(n+k), 1, 1) block stack
-    whose entry (b, k) is exp(2 pi i b lambda_k / 2**n); V; and F's dagger,
-    the inverse QFT.  The middle three are sum_b |b><b| (x) U**b with
+    The circuit has 5 gates for any n = eig_bits: V^T on the targets, V the
+    eigenvectors of A; the QFT F on the register; one diagonal phase gate
+    on register and targets, a (2**(n+k), 1, 1) block stack whose entry
+    (b, k) is exp(2 pi i b lambda_k / 2**n); F's dagger, the inverse QFT;
+    and V.  V^T, the phase gate and V are sum_b |b><b| (x) U**b with
     U = exp(2 pi i A / 2**n), the n controlled powers of textbook phase
-    estimation in one pass.  F takes the zero register to the uniform
-    superposition, as the textbook layer of Hadamards does, so the two
-    circuits agree on every input whose register is |0...0>; they differ
-    elsewhere.  The register, then the targets, must be consecutive qubits
-    in ascending order, as the phase gate acts on both.
+    estimation in one pass; F and F's dagger act on the register alone and
+    commute with V^T and V, so the circuit is F^dagger (V D V^T) F.  F
+    takes the zero register to the uniform superposition, as the textbook
+    layer of Hadamards does, so the two circuits agree on every input whose
+    register is |0...0>; they differ elsewhere.  The register, then the
+    targets, must be consecutive qubits in ascending order, as the phase
+    gate acts on both.  V is the last gate, as in ``build_register_shift``,
+    so a caller that applies only gates on other qubits before the inverse
+    can leave V and the inverse's opening V^T out: they cancel.
 
     This is the general form; the pipeline runs it for spectra that are not
     integer, and ``build_register_shift``, the same unitary in three gates,
@@ -137,11 +145,11 @@ def build_phase_estimation(
     V^T and the phase gate; V and F's dagger reuse their checked matrices.
     """
     lam_qubits, target_qubits, num_qubits = _pe_wiring(spec, lam_qubits, target_qubits, num_qubits)
-    fourier = GateOp(1, lam_qubits, label="QFT")
     to_eigenbasis = GateOp(spec._eigvecs.T, target_qubits, label="V^T")
+    fourier = GateOp(1, lam_qubits, label="QFT")
     phases = np.exp(2j * np.pi * np.outer(np.arange(spec.scale), spec._eigvals) / spec.scale)
     powers = GateOp(phases.reshape(-1, 1, 1), lam_qubits + target_qubits, label="c-U^b")
-    gates = (fourier, to_eigenbasis, powers, to_eigenbasis.dagger(), fourier.dagger())
+    gates = (to_eigenbasis, fourier, powers, fourier.dagger(), to_eigenbasis.dagger())
     return Circuit(num_qubits, gates)
 
 
@@ -155,7 +163,7 @@ def build_register_shift(
     targets, a table add of round(lambda_k) mod 2**n into the register
     keyed by the eigen-index k on the targets, and V.
 
-    ``build_phase_estimation``'s F, V^T, D, V, F^dagger equal
+    ``build_phase_estimation``'s V^T, F, D, F^dagger, V is
     V (F^dagger D F) V^T, as F acts on the register and V on the targets;
     for eigen-index k, F^dagger D_k F maps |j> to |j + lambda_k mod 2**n>
     when lambda_k is an integer, since phase estimation of an integer phase
@@ -163,7 +171,8 @@ def build_register_shift(
     the two circuits are one unitary, on every register value, for a
     spectrum of integers; this one does no arithmetic on amplitudes in the
     register and keeps a state's register values as few as its distinct
-    eigenvalues.  The wiring is ``build_phase_estimation``'s.
+    eigenvalues.  The wiring is ``build_phase_estimation``'s, and so is
+    the closing V.
 
     Raises ``ValueError`` unless every eigenvalue is within
     ``SPECTRUM_ATOL`` of an integer, the register value it is read as.

@@ -6,7 +6,13 @@ eigenvalues into a register, writes a shrinkage coefficient y(lambda) into a
 second register, flips an ancilla wherever y != 0, uncomputes both registers,
 and post-selects the ancilla.  What survives is the eigenvalue-thresholded
 state  sum_{k kept} sigma_k |u_k>|u_k>  up to normalization, kept meaning
-``FilterParams.keeps``; a second phase estimation re-reads the kept eigenvalues.
+``FilterParams.keeps``.  The histogram of the kept eigenvalues, which a second
+phase estimation of that state would read, is read off the register before
+uncomputing.  With S the state after the flip, W the filter and P the
+projection onto ancilla 1, that estimation would run on P PE^dagger W^dagger S,
+and PE P PE^dagger W^dagger S = P W^dagger S, as P commutes with gates that do
+not touch the ancilla.  W^dagger moves y alone, so the histogram is the lambda
+marginal of P S: the ancilla-1 rows after the flip, renormalized.
 
 Phase estimation takes one of two forms, picked by
 ``HermitianInput.integer_spectrum``, the rule ``keeps`` and the oracle read
@@ -14,18 +20,22 @@ eigenvalues by.  An integer spectrum runs ``build_register_shift``: V^T, a
 table add of round(lambda_k) into the register, V, which writes exactly the
 register values ``keeps`` assumes and keeps the state on one row per
 distinct eigenvalue.  Any other spectrum runs ``build_phase_estimation``'s
-Fourier form, which spreads each eigenvalue over the register.
+Fourier form, V^T, F, D, F^dagger, V, which spreads each eigenvalue over the
+register.  Both end with V, on the targets alone, and the inverse that
+``uncompute`` runs begins with V^T; between them the filter and the flip
+act on the work registers alone, so the pair cancels and is never run.
 
 A ``HermitianInput`` is immutable and keeps one slot for its latest register
-width: the state after state preparation and phase estimation, and the
-phase-estimation circuit, which depend on the input and that width alone.
-A first call, or a call at another width, builds both circuits, runs them
-from |0>, and replaces the slot; the state-preparation circuit is dropped.
-Every call continues from the slot's state, so a sweep of tau at one width
-simulates the filter, the flip, ``uncompute`` and the second phase
-estimation only, and builds only the filter table and the filter and flip
-gates, which its config selects, and the daggers of the kept phase
-estimation that ``uncompute`` runs.
+width: phase estimation without its closing V, and the state after state
+preparation and that circuit, which depend on the input and that width
+alone.  A first call, or a call at another width, builds both circuits, runs
+them from |0>, and replaces the slot; the state-preparation circuit is
+dropped.  Every call continues from the slot's state, so a sweep of tau at
+one width simulates the filter, the flip and ``uncompute`` only: 5 gates
+for an integer spectrum (the filter, the flip, the filter's dagger, the
+inverse shift and V) and 7 for the Fourier form.  It builds only the filter
+table and the filter and flip gates, which its config selects, and the
+daggers of the kept circuit that ``uncompute`` runs.
 """
 
 from __future__ import annotations
@@ -73,16 +83,17 @@ UNCOMPUTE_ATOL = 1e-9
 # filter and flip tables (2**n entries) and the phase gate (2**(n+k)) are
 # smaller, and basis indices stay under 44 bits.  For a spectrum that is not
 # integer, a first call at a width peaks at 5.3 blocks of 16 * 2**(n+m)
-# bytes (dim 16 at n = 8), and at up to 8.6 where its row keys are as large
-# as its rows (dim 2 at n = 20): about 550 MiB at this limit.  A later call,
-# which starts at the filter, peaks about one block lower.  An integer
+# bytes (dim 16 at n = 8), and at 7.2 where its row keys are as large as its
+# rows (dim 2 at n = 20): about 460 MiB at this limit.  A later call, which
+# starts at the filter, peaks 1.2 to 1.6 blocks lower.  An integer
 # spectrum's register shift fills one row of 2**m amplitudes per distinct
 # eigenvalue, not the block, and its calls peak at a fraction of a block
-# (dim 16 at n = 12: 0.03 cold, 0.02 warm); at dim 2 and n = 20 the 2**n
-# entries of the filter and flip tables dominate, about 1.3 blocks.  Between
-# calls an input holds at most 1.5 blocks: its estimated state of one
-# register width (one block) and, for a spectrum that is not integer, that
-# width's phase gate, 16 * 2**(n+m/2) bytes, at most half a block as m >= 2.
+# (dim 16 at n = 12: 0.02 cold and warm); at dim 2 and n = 20 the 2**n
+# entries of the filter and flip tables dominate, 1.33 blocks cold and 1.21
+# warm (tracemalloc, numpy 2.4).  Between calls an input holds at most 1.5
+# blocks: its estimated state of one register width (one block) and, for a
+# spectrum that is not integer, that width's phase gate, 16 * 2**(n+m/2)
+# bytes, at most half a block as m >= 2.
 MAX_LIVE_AMPS = 2**22
 
 
@@ -97,11 +108,11 @@ class PipelineInvariantError(SimulationError):
 
 @dataclass(frozen=True, eq=False)
 class _Compiled:
-    """What one register width's calls share and the input alone fixes: the
-    state after state preparation and phase estimation, stored split at the
-    work registers (``RegisterLayout.work_qubits``) that the filter reads, the
-    phase-estimation circuit, and the warnings the build gave, which every
-    call repeats."""
+    """What one register width's calls share and the input alone fixes:
+    ``pe``, phase estimation without its closing V; the state after state
+    preparation and ``pe``, stored split at or below the work registers
+    (``RegisterLayout.work_qubits``) that the filter reads; and the warnings
+    the build gave, which every call repeats."""
 
     n_bits: int
     estimated: StateVector
@@ -196,8 +207,9 @@ class QpcaResult:
 
     ``output_amps`` holds the post-selected data-register amplitudes (exact
     mode) or their sampled magnitude estimates; ``lambda_histogram`` maps
-    eigenvalue-register integers to their probability mass after the second
-    phase estimation.
+    eigenvalue-register integers to their probability mass in the
+    post-selected state, as a second phase estimation would read it (see the
+    module docstring).
     """
 
     success_prob: float
@@ -293,12 +305,28 @@ def uncompute(
     return state
 
 
+def _histogram(lam: np.ndarray, mass: np.ndarray, eig_bits: int) -> dict[int, float]:
+    """``mass`` summed per lambda-register value ``lam``, values at or
+    below ``ROUNDOFF`` dropped."""
+    mass = np.bincount(lam, weights=mass, minlength=1 << eig_bits)
+    values = np.flatnonzero(mass > ROUNDOFF)
+    return dict(zip(values.tolist(), mass[values].tolist()))
+
+
 def lambda_register_histogram(state: StateVector, layout: RegisterLayout) -> dict[int, float]:
     """Marginal probability of each lambda-register value, zeros dropped."""
     _, _, lam, block = _work_rows(state, layout)
-    mass = np.bincount(lam, weights=_row_masses(block), minlength=1 << layout.eig_bits)
-    values = np.flatnonzero(mass > ROUNDOFF)
-    return dict(zip(values.tolist(), mass[values].tolist()))
+    return _histogram(lam, _row_masses(block), layout.eig_bits)
+
+
+def _kept_lambdas(state: StateVector, layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The lambda value and the mass of each live row of ``state`` with the
+    ancilla at 1, read at the stored split, which must lie at or below the
+    work registers, so nothing is re-keyed."""
+    keys, block = state.rows(state._top)
+    anc, _, lam, _ = layout.split(keys << (state.num_qubits - state._top))
+    hit = anc == 1
+    return lam[hit], _row_masses(block)[hit]
 
 
 def make_layout(hin: HermitianInput, n_bits: int) -> RegisterLayout:
@@ -325,10 +353,15 @@ def _compiled(hin: HermitianInput, layout: RegisterLayout) -> _Compiled:
             )
             build_pe = build_register_shift if hin.integer_spectrum else build_phase_estimation
             pe = build_pe(pe_spec, layout.lambda_reg, layout.u_reg, layout.num_qubits)
+        # without V: it and the V^T that the inverse would open with cancel
+        pe = Circuit(layout.num_qubits, pe.ops[:-1])
         # two runs, not one circuit: a run of gates works from its lowest
         # qubit, where prep would act on 2**n copies of the data register
         state = run(run(StateVector.zero(layout.num_qubits), prep), pe)
-        top = layout.work_qubits
+        # split at or below the work registers: the shift form's state is
+        # split after the targets already, the Fourier form's at its
+        # register, and that is split finer
+        top = max(state._top, layout.work_qubits)
         estimated = StateVector._owned(layout.num_qubits, top, *state.rows(top))
         slot = _Compiled(layout.eig_bits, estimated, pe, tuple(w.message for w in caught))
         object.__setattr__(hin, "_slot", slot)
@@ -385,7 +418,8 @@ def run_qpca(
     or when ``filter_table`` does not match.
 
     Every call continues from the input's slot (see ``_compiled``): the
-    state after state preparation and the first phase estimation.
+    state after state preparation and the first phase estimation, without
+    its closing V.
     """
     layout = make_layout(hin, config.n_bits)
     live = 1 << (layout.eig_bits + layout.data_qubits)
@@ -420,17 +454,19 @@ def run_qpca(
     flip = ancilla_flip_gate(layout)
 
     atol = UNCOMPUTE_ATOL if hin.integer_spectrum else None
-    # the slot keeps its state alive through the call, so no name here holds
-    # the filter and flip states through uncompute, the draw comes before
-    # post-selection, and the state before it goes before the readout
-    state = uncompute(
-        apply(apply(compiled.estimated, filt), flip), layout, filt, compiled.pe, atol=atol
-    )
+    # the draw comes before post-selection, and the state before it goes
+    # before the readout
+    state = apply(apply(compiled.estimated, filt), flip)
+    # the histogram is that of the ancilla-1 rows here (module docstring);
+    # only their lambda values and masses are kept through uncompute
+    kept_lam, kept_mass = _kept_lambdas(state, layout)
+    state = uncompute(state, layout, filt, compiled.pe, atol=atol)
     raw = sample(state, config.shots, config.seed) if config.mode == "sampled" else None
     success_prob, collapsed = post_select(state, layout.ancilla, 1)
     success_prob = min(success_prob, 1.0)
     del state
     output_amps = _readout(collapsed, layout, hin.integer_spectrum)
+    histogram = _histogram(kept_lam, kept_mass / kept_mass.sum(), layout.eig_bits)
 
     try:
         _, expected = classical_pca_oracle(hin, params)
@@ -453,8 +489,6 @@ def run_qpca(
         shots = config.shots
 
     fid = 0.0 if expected is None else fidelity(output_amps, expected)
-
-    histogram = lambda_register_histogram(run(collapsed, compiled.pe), layout)
 
     result = QpcaResult(
         success_prob=success_prob,

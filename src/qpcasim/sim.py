@@ -70,9 +70,9 @@ A gate acts on its k target qubits alone and holds one of three forms in
 * a sign s = 1 or -1 (a 0-d integer array), the unitary DFT with kernel
   e^(s 2 pi i jk / 2**k), j and k read with the first target as the top
   bit, applied as ``np.fft.ifft`` (s = 1) or ``np.fft.fft`` (s = -1) along
-  the targets, with ``norm="ortho"``; the inverse is -s.  Phase estimation
-  opens with the gate of sign 1 on its register and closes with its
-  inverse;
+  the targets, with ``norm="ortho"``; the inverse is -s.  Phase
+  estimation's Fourier form applies the gate of sign 1 to its register
+  after V^T and its inverse before V;
 * a length-2**r integer table T with r < k, the table-controlled add
   (c, lam) -> ((c + T[lam]) mod 2**(k-r), lam): the leading k - r targets
   hold c and the trailing r targets hold lam.  Any integer table is a

@@ -138,6 +138,26 @@ class TestMatrixExponential:
         with pytest.warns(SpectralPrecisionWarning):
             PhaseEstimationSpec(np.diag([5.0, 1.0]), eig_bits=2)
 
+    @pytest.mark.parametrize(
+        "lams, wraps",
+        [
+            ([3.0, -2e-7], False),  # read as 0
+            ([3.9999999, 1.0], True),  # read as 4, which wraps to 0
+            ([4.0, 1.0], True),
+            ([3.99, 1.0], False),  # read as itself, below 4
+            ([3.0, -0.01], True),
+        ],
+    )
+    def test_warns_exactly_when_the_register_reading_wraps(self, lams, wraps):
+        # the register reads lambda within SPECTRUM_ATOL of an integer as
+        # that integer, as FilterParams.keeps does, and any other as itself
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            PhaseEstimationSpec(np.diag(lams), eig_bits=2)
+        assert [str(w.message).endswith("register readout will wrap") for w in caught] == (
+            [True] if wraps else []
+        )
+
 
 def pe_input(lam_bits, u):
     """|0..0> on the eigenvalue register tensor a data state."""
@@ -220,7 +240,7 @@ class TestPhaseEstimation:
         assert np.max(np.abs(out - vec)) < 1e-9
 
     def test_matches_textbook_reference(self):
-        # F, V^T, the phase gate, V and F^dag against the H / controlled
+        # V^T, F, the phase gate, F^dag and V against the H / controlled
         # exponential / controlled-phase / SWAP reference, with no reversal
         # of the register's bits, on every input whose register is |0>:
         # the columns of the register-0 inputs.  Off the zero register the
@@ -275,9 +295,8 @@ class TestPhaseEstimation:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_shared_gates_keep_their_inverses(self, n):
         # each gate's dagger has its targets and label, and the dagger of
-        # that has its matrix; V is V^T's dagger, the circuit closes with
-        # the dagger of the QFT it opens with, and the inverse circuit
-        # undoes the circuit
+        # that has its matrix; V is V^T's dagger, the QFT after V^T has its
+        # dagger before V, and the inverse circuit undoes the circuit
         lam, q = tuple(range(2, n + 2)), n + 3
         spec = PhaseEstimationSpec(np.diag([1.0, 0.0]), n)
         pe = build_phase_estimation(spec, lam, (n + 2,), q)
@@ -288,7 +307,7 @@ class TestPhaseEstimation:
         to_eigen, powers, from_eigen = pe_middle(pe)
         assert np.array_equal(to_eigen.dagger().matrix, from_eigen.matrix)
         assert np.array_equal(powers.dagger().matrix, powers.matrix.conj())
-        fourier, inverse = pe.ops[0], pe.ops[-1]
+        fourier, inverse = pe.ops[1], pe.ops[-2]
         assert (fourier.matrix, inverse.matrix) == (1, -1)
         assert fourier.targets == inverse.targets == lam
         assert np.max(np.abs(gate_matrix(fourier) - dft_matrix(n))) < 1e-12
@@ -319,8 +338,8 @@ class TestPhaseEstimation:
 
 class TestRegisterShift:
     def test_equals_phase_estimation_as_a_unitary(self):
-        # V^T, the shift by round(lambda_k) and V against F, V^T, the phase
-        # gate, V and F^dag on every column, the nonzero registers included:
+        # V^T, the shift by round(lambda_k) and V against V^T, F, the phase
+        # gate, F^dag and V on every column, the nonzero registers included:
         # integer spectra in range, degenerate, and wrapping (negative, or
         # 2**n and above)
         rng = np.random.default_rng(31)

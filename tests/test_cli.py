@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qpcasim import SpectralPrecisionWarning
 from qpcasim.cli import (
     EXIT_FILTERED,
     EXIT_INPUT,
@@ -206,6 +207,28 @@ class TestRunCommand:
         assert code == EXIT_FILTERED
         err = capsys.readouterr().err
         assert err.startswith("error:") and "filtered" in err
+
+    def test_eigenvalue_just_below_zero_reads_zero_and_does_not_warn(self, tmp_path):
+        # -2e-7 is within SPECTRUM_ATOL of 0, the value the register reads
+        matrix = tmp_path / "below.csv"
+        matrix.write_text("3,0\n0,-2e-7\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--matrix", str(matrix), "--tau", "1.5", "--eig-bits", "2",
+                         "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("text", ["3.9999999,0\n0,1\n", "4,0\n0,1\n"], ids=["near-4", "4"])
+    def test_register_reading_of_four_wraps_with_a_warning(self, tmp_path, capsys, text):
+        # both are read as 4, which a 2-bit register holds as 0: nothing
+        # lies above tau 1.5, and the run says why
+        matrix = tmp_path / "wraps.csv"
+        matrix.write_text(text)
+        with pytest.warns(SpectralPrecisionWarning, match="will wrap"):
+            code = main(["run", "--matrix", str(matrix), "--tau", "1.5", "--eig-bits", "2",
+                         "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_FILTERED
+        assert "filtered" in capsys.readouterr().err
 
     def test_bad_tau_exits_two(self, a_path, tmp_path, capsys):
         code = main(["run", "--matrix", a_path, "--tau", "-1", "--eig-bits", "2",

@@ -4,7 +4,7 @@ import qpcasim
 
 # builders no pipeline path ran; the filter's gate budget lives in
 # cost_proposed(n, m).per_block["filter"], the exponentials are
-# V D_b V^T of build_phase_estimation(...).ops[1:4].  The DFT (build_qft),
+# V D_b V^T of build_phase_estimation's V^T, D and V.  The DFT (build_qft),
 # its semiclassical gates, the exponential stack (_exp_matrices), swap and
 # cphase are test references now (tests/helpers.py); circuits concatenate
 # as Circuit(n, a.ops + b.ops), and state prep checks its blocks without
@@ -18,8 +18,8 @@ import qpcasim
 # A gate's targets are a range of qubits: the kernel needs no transpose plan
 # or bit matrix, GateOp.first replaces min_qubit, and any other wiring,
 # remap included, is a test reference (tests/helpers.py), as are
-# circuit_unitary, pauli_x and phase.  Phase estimation opens with a
-# Fourier gate, so builders needs no Hadamard.
+# circuit_unitary, pauli_x and phase.  Phase estimation puts a Fourier
+# gate on its register, so builders needs no Hadamard.
 DELETED = (
     "build_qft_adder",
     "count_filter_gates",

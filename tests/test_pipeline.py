@@ -32,6 +32,7 @@ from qpcasim import (
     build_filter_table,
     build_filter_unitary,
     build_phase_estimation,
+    build_register_shift,
     build_state_prep,
     classical_pca_oracle,
     exact_shrink_table,
@@ -478,6 +479,40 @@ class TestRunQpca:
         assert abs(run_qpca(hin, config).fidelity - 1.0) < 1e-9
         assert sorted(sizes) == [4, 64, 64, 64]
 
+    @pytest.mark.parametrize(
+        "lams, labels",
+        [
+            ([6.0, 5.0, 3.0, 1.0], ["+lambda", "V^T"]),
+            ([5.3, 3.7, 2.2, 0.6], ["QFT", "c-U^b", "QFT", "V^T"]),
+        ],
+        ids=["integer", "fourier"],
+    )
+    def test_warm_call_simulates_no_cancelling_gates(self, lams, labels, monkeypatch):
+        # filter, flip, filter^dagger and the inverse of phase estimation
+        # without its closing V: the register shift's inverse and V (5
+        # gates), or the Fourier form's F, D^dagger, F^dagger and V (7);
+        # no V^T, and no second phase estimation
+        hin = HermitianInput.from_matrix(matrix_with_spectrum(np.random.default_rng(3), lams))
+        config = QpcaConfig(tau=2.5, n_bits=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SpectralPrecisionWarning)
+            run_qpca(hin, config)
+            ran = []
+            evolve = sim._evolve
+
+            def recorded(state, ops):
+                ran.extend(ops)
+                return evolve(state, ops)
+
+            monkeypatch.setattr(sim, "_evolve", recorded)
+            assert run_qpca(hin, config).fidelity > 0.99
+        assert [op.label for op in ran] == ["U_lambda_tau", "CU_flip", "U_lambda_tau"] + labels
+        v = ran[-1].matrix  # V keeps V^T's label
+        assert ran[-1].targets == make_layout(hin, 3).u_reg
+        assert not np.array_equal(v, np.swapaxes(v, 1, 2))
+        stacks = [op.matrix for op in ran if op.matrix.shape == v.shape]
+        assert not any(np.array_equal(m, np.swapaxes(v, 1, 2)) for m in stacks)
+
     def test_rejects_non_power_of_two_dimension(self):
         hin = HermitianInput.from_matrix(np.eye(3))
         with pytest.raises(ValueError, match="power of two"):
@@ -593,7 +628,8 @@ class TestCompileSlot:
         gc.disable()
         try:
             run_qpca(hin, QpcaConfig(tau=1.5, n_bits=2))
-            top = make_layout(hin, 2).work_qubits
+            top = hin._slot.estimated._top
+            assert top >= make_layout(hin, 2).work_qubits
             keys, block = (weakref.ref(a) for a in hin._slot.estimated.rows(top))
             run_qpca(hin, QpcaConfig(tau=1.5, n_bits=2))
             assert block() is not None
@@ -603,13 +639,15 @@ class TestCompileSlot:
             gc.enable()
 
     def test_slot_rows_are_read_only_and_kept_unchanged(self, matrix_c):
-        # stored split at the work registers, the rows the filter run reads
-        # and shares: no call may write them, an all-filtered call included
+        # stored split at or below the work registers, the rows the filter
+        # run reads and shares: no call may write them, an all-filtered call
+        # included
         hin = HermitianInput.from_matrix(matrix_c)
         run_qpca(hin, QpcaConfig(tau=1.5, n_bits=3))
         slot, layout = hin._slot, make_layout(hin, 3)
-        assert slot.estimated._top == layout.work_qubits
-        keys, block = slot.estimated.rows(layout.work_qubits)
+        top = slot.estimated._top
+        assert top >= layout.work_qubits
+        keys, block = slot.estimated.rows(top)
         assert not keys.flags.writeable and not block.flags.writeable
         before = keys.tobytes(), block.tobytes()
         for tau, mode in ((0.5, "exact"), (1.5, "sampled"), (2.5, "exact")):
@@ -617,7 +655,7 @@ class TestCompileSlot:
         with pytest.raises(ZeroProbabilityOutcome):
             run_qpca(hin, QpcaConfig(tau=3.5, n_bits=3))
         assert hin._slot is slot
-        again = slot.estimated.rows(layout.work_qubits)
+        again = slot.estimated.rows(top)
         assert again[0] is keys and again[1] is block
         assert (keys.tobytes(), block.tobytes()) == before
         with pytest.raises(ValueError, match="read-only"):
@@ -882,6 +920,42 @@ class TestReferencePipeline:
         assert within(sum(got.counts.values()), ref.success)
         for value, p in enumerate(ref.data_probs):
             assert within(got.counts.get(value, 0), p), value
+
+
+class TestHistogramWithoutSecondEstimation:
+    """``run_qpca`` reads the lambda histogram off the ancilla-1 rows after
+    the flip; the textbook route post-selects the uncomputed state and runs
+    the whole phase estimation on it again."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(reference_cases())
+    def test_matches_a_second_phase_estimation(self, case):
+        lams, tau, n, seed = case
+        hin = HermitianInput.from_matrix(matrix_with_spectrum(np.random.default_rng(seed), lams))
+        layout, q = make_layout(hin, n), make_layout(hin, n).num_qubits
+        with warnings.catch_warnings():
+            # spectra that wrap, or are not integer, are run with a warning
+            warnings.simplefilter("ignore", SpectralPrecisionWarning)
+            spec = PhaseEstimationSpec(hin.matrix, n)
+            build = build_register_shift if hin.integer_spectrum else build_phase_estimation
+            full_pe = build(spec, layout.lambda_reg, layout.u_reg, q)
+            filt = build_filter_unitary(build_filter_table(FilterParams(tau, n)), layout)
+            prep = build_state_prep(hin.amplitude_encoding, qubits=layout.data_reg, num_qubits=q)
+            state = run(run(StateVector.zero(q), prep), full_pe)
+            state = apply(apply(state, filt), ancilla_flip_gate(layout))
+            state = uncompute(state, layout, filt, full_pe, atol=None)
+            try:
+                _, collapsed = post_select(state, layout.ancilla, 1)
+            except ZeroProbabilityOutcome:
+                with pytest.raises(ZeroProbabilityOutcome):
+                    run_qpca(hin, QpcaConfig(tau=tau, n_bits=n))
+                return
+            want = lambda_register_histogram(run(collapsed, full_pe), layout)
+            got = run_qpca(hin, QpcaConfig(tau=tau, n_bits=n)).lambda_histogram
+        for value in got.keys() | want.keys():
+            # a value missing on one side was dropped there as round-off
+            tol = 1e-12 if value in got and value in want else ROUNDOFF + 1e-12
+            assert abs(got.get(value, 0.0) - want.get(value, 0.0)) < tol, value
 
 
 class TestSampledMode:
