@@ -31,6 +31,7 @@ from .layout import RegisterLayout
 from .pipeline import (
     AllComponentsFiltered,
     HermitianInput,
+    NoShotAccepted,
     PipelineInvariantError,
     QpcaConfig,
     QpcaResult,
@@ -68,6 +69,7 @@ __all__ = [
     "FixedPoint",
     "GateOp",
     "HermitianInput",
+    "NoShotAccepted",
     "NonUnitaryMatrixError",
     "PhaseEstimationSpec",
     "PipelineInvariantError",

@@ -1,12 +1,14 @@
 """Command line front end: matrix files in, result documents out.
 
 Exit codes: 0 success, 2 bad input (file, parse, or parameter), 3 every
-component filtered out, 4 internal invariant violation.
+component filtered out or no sampled shot accepted, 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ from .complexity import cost_baseline, cost_proposed, gate_ratio
 from .pipeline import (
     AllComponentsFiltered,
     HermitianInput,
+    NoShotAccepted,
     PipelineInvariantError,
     QpcaConfig,
     run_qpca,
@@ -186,6 +189,8 @@ def run_command(matrix_path: str, config: QpcaConfig, out_path: str) -> int:
 
     try:
         result = run_qpca(hin, config)
+    except NoShotAccepted as e:
+        return _fail(EXIT_FILTERED, f"no shot accepted: {e}")
     except (AllComponentsFiltered, ZeroProbabilityOutcome) as e:
         return _fail(EXIT_FILTERED, f"all components filtered: {e}")
     except PipelineInvariantError as e:
@@ -215,6 +220,7 @@ def analyze_command(n_min: int, n_max: int, out_path: str) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpcasim",

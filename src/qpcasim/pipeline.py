@@ -6,13 +6,18 @@ eigenvalues into a register, writes a shrinkage coefficient y(lambda) into a
 second register, flips an ancilla wherever y != 0, uncomputes both registers,
 and post-selects the ancilla.  What survives is the eigenvalue-thresholded
 state  sum_{k kept} sigma_k |u_k>|u_k>  up to normalization, kept meaning
-``FilterParams.keeps``.  The histogram of the kept eigenvalues, which a second
-phase estimation of that state would read, is read off the register before
-uncomputing.  With S the state after the flip, W the filter and P the
-projection onto ancilla 1, that estimation would run on P PE^dagger W^dagger S,
-and PE P PE^dagger W^dagger S = P W^dagger S, as P commutes with gates that do
-not touch the ancilla.  W^dagger moves y alone, so the histogram is the lambda
-marginal of P S: the ancilla-1 rows after the flip, renormalized.
+``FilterParams.keeps``.  With S the state after the flip, W the filter and P
+the projection onto ancilla 1, the post-selected state is
+P PE^dagger W^dagger S = PE^dagger W^dagger P S, as P commutes with gates that
+do not touch the ancilla.  So exact mode post-selects S and uncomputes the
+ancilla-1 branch alone; the ancilla-0 branch, which post-selection discards,
+is never uncomputed, and its work registers are not checked.  Sampled mode
+draws its shots from the whole uncomputed state and post-selects after.  The
+histogram of the kept eigenvalues, which a second phase estimation of the
+post-selected state would read, is read off the register before uncomputing:
+PE P PE^dagger W^dagger S = P W^dagger S, and W^dagger moves y alone, so the
+histogram is the lambda marginal of P S: the ancilla-1 rows after the flip,
+renormalized.
 
 Phase estimation takes one of two forms, picked by
 ``HermitianInput.integer_spectrum``, the rule ``keeps`` and the oracle read
@@ -26,15 +31,15 @@ register.  Both end with V, on the targets alone, and the inverse that
 act on the work registers alone, so the pair cancels and is never run.
 
 A ``HermitianInput`` is immutable and keeps one slot for its latest register
-width: phase estimation without its closing V, and the state after state
-preparation and that circuit, which depend on the input and that width
-alone.  A first call, or a call at another width, builds both circuits, runs
-them from |0>, and replaces the slot; the state-preparation circuit is
-dropped.  Every call continues from the slot's state, so a sweep of tau at
-one width simulates the filter, the flip and ``uncompute`` only: 5 gates
-for an integer spectrum (the filter, the flip, the filter's dagger, the
-inverse shift and V) and 7 for the Fourier form.  It builds only the filter
-table and the filter and flip gates, which its config selects, and the
+width: phase estimation without its closing V, the ancilla flip, and the
+state after state preparation and that circuit, which depend on the input
+and that width alone.  A first call, or a call at another width, builds the
+circuits and the flip, runs them from |0>, and replaces the slot; the
+state-preparation circuit is dropped.  Every call continues from the slot's
+state, so a sweep of tau at one width simulates the filter, the flip and
+``uncompute`` only: 5 gates for an integer spectrum (the filter, the flip,
+the filter's dagger, the inverse shift and V) and 7 for the Fourier form.
+It builds only the filter table and gate, which its config selects, and the
 daggers of the kept circuit that ``uncompute`` runs.
 """
 
@@ -82,23 +87,31 @@ UNCOMPUTE_ATOL = 1e-9
 # estimation on a state holds at most two such blocks for any spectrum; the
 # filter and flip tables (2**n entries) and the phase gate (2**(n+k)) are
 # smaller, and basis indices stay under 44 bits.  For a spectrum that is not
-# integer, a first call at a width peaks at 5.3 blocks of 16 * 2**(n+m)
-# bytes (dim 16 at n = 8), and at 7.2 where its row keys are as large as its
-# rows (dim 2 at n = 20): about 460 MiB at this limit.  A later call, which
-# starts at the filter, peaks 1.2 to 1.6 blocks lower.  An integer
-# spectrum's register shift fills one row of 2**m amplitudes per distinct
-# eigenvalue, not the block, and its calls peak at a fraction of a block
-# (dim 16 at n = 12: 0.02 cold and warm); at dim 2 and n = 20 the 2**n
-# entries of the filter and flip tables dominate, 1.33 blocks cold and 1.21
-# warm (tracemalloc, numpy 2.4).  Between calls an input holds at most 1.5
-# blocks: its estimated state of one register width (one block) and, for a
-# spectrum that is not integer, that width's phase gate, 16 * 2**(n+m/2)
-# bytes, at most half a block as m >= 2.
+# integer, a first call at a width peaks in sampled mode at 5.2 blocks of
+# 16 * 2**(n+m) bytes (dim 16 at n = 8), and at 7.2 where its row keys are as
+# large as its rows (dim 2 at n = 16 and at n = 20): about 460 MiB at this
+# limit.  Exact mode, which uncomputes the ancilla-1 branch alone, peaks
+# 1.3 to 1.4 blocks lower, at 3.9 and 5.8.  A later call, which starts at
+# the filter, peaks 1.1 to 1.9 blocks lower than a first: 2.7 and 4.0 blocks
+# in exact mode, 4.1 and 5.5 in sampled mode.  An integer spectrum's register
+# shift fills one row of 2**m amplitudes per distinct eigenvalue, not the
+# block, and its calls peak at a fraction of a block (dim 16 at n = 12: 0.02
+# cold and warm); at dim 2 and n = 20 the 2**n entries of the filter and
+# flip tables dominate, 1.21 blocks cold and warm (tracemalloc, numpy 2.4).
+# Between calls an input holds at most 1.625 blocks: its estimated state of
+# one register width (one block), that width's flip table, 8 * 2**n bytes,
+# at most an eighth of a block as m >= 2, and, for a spectrum that is not
+# integer, that width's phase gate, 16 * 2**(n+m/2) bytes, at most half a
+# block.
 MAX_LIVE_AMPS = 2**22
 
 
 class AllComponentsFiltered(Exception):
     """No eigenvalue exceeds the threshold; the filtered state is empty."""
+
+
+class NoShotAccepted(ZeroProbabilityOutcome):
+    """Sampled mode drew no shot with the ancilla at 1."""
 
 
 class PipelineInvariantError(SimulationError):
@@ -111,12 +124,14 @@ class _Compiled:
     """What one register width's calls share and the input alone fixes:
     ``pe``, phase estimation without its closing V; the state after state
     preparation and ``pe``, stored split at or below the work registers
-    (``RegisterLayout.work_qubits``) that the filter reads; and the warnings
-    the build gave, which every call repeats."""
+    (``RegisterLayout.work_qubits``) that the filter reads; the ancilla
+    flip, which depends on the width alone; and the warnings the build
+    gave, which every call repeats."""
 
     n_bits: int
     estimated: StateVector
     pe: Circuit
+    flip: GateOp
     warned: tuple[Warning, ...]
 
 
@@ -363,7 +378,8 @@ def _compiled(hin: HermitianInput, layout: RegisterLayout) -> _Compiled:
         # register, and that is split finer
         top = max(state._top, layout.work_qubits)
         estimated = StateVector._owned(layout.num_qubits, top, *state.rows(top))
-        slot = _Compiled(layout.eig_bits, estimated, pe, tuple(w.message for w in caught))
+        flip = ancilla_flip_gate(layout)
+        slot = _Compiled(layout.eig_bits, estimated, pe, flip, tuple(w.message for w in caught))
         object.__setattr__(hin, "_slot", slot)
     return slot
 
@@ -400,10 +416,10 @@ def run_qpca(
 
     ``filter_table`` overrides the Newton-built table (its tau and n_bits
     must match ``config``); used to check that reciprocal rounding never leaks
-    into the output.  Exact mode reports the post-selected amplitudes
-    directly; sampled mode measures the pre-selection state ``config.shots``
-    times, keeps ancilla-1 shots, and estimates amplitude magnitudes as
-    sqrt(count / kept).
+    into the output.  Exact mode post-selects before ``uncompute`` and
+    reports the post-selected amplitudes directly; sampled mode measures the
+    uncomputed pre-selection state ``config.shots`` times, keeps ancilla-1
+    shots, and estimates amplitude magnitudes as sqrt(count / kept).
 
     Non-integer spectra are accepted with a warning: phase estimation then
     runs in its Fourier form, not as a register shift (see the module
@@ -413,9 +429,10 @@ def run_qpca(
     clean-register branch, a soft approximation of the thresholded state.
 
     Raises ``ZeroProbabilityOutcome`` when every component is filtered out,
-    and ``ValueError`` before any state is built when a block of
-    2**(n_bits + m) amplitudes, m the data qubits, exceeds ``MAX_LIVE_AMPS``,
-    or when ``filter_table`` does not match.
+    its subclass ``NoShotAccepted`` when no sampled shot lands on the
+    post-selected ancilla, and ``ValueError`` before any state is built when
+    a block of 2**(n_bits + m) amplitudes, m the data qubits, exceeds
+    ``MAX_LIVE_AMPS``, or when ``filter_table`` does not match.
 
     Every call continues from the input's slot (see ``_compiled``): the
     state after state preparation and the first phase estimation, without
@@ -451,18 +468,25 @@ def run_qpca(
     kept_eigenvalues = tuple(hin.eigenvalues[params.keeps(hin.eigenvalues)].tolist())
 
     filt = build_filter_unitary(filter_table, layout)
-    flip = ancilla_flip_gate(layout)
 
     atol = UNCOMPUTE_ATOL if hin.integer_spectrum else None
-    # the draw comes before post-selection, and the state before it goes
-    # before the readout
-    state = apply(apply(compiled.estimated, filt), flip)
+    # the filter and the flip, both table adds, in one pass over the keys
+    state = run(compiled.estimated, Circuit(layout.num_qubits, (filt, compiled.flip)))
     # the histogram is that of the ancilla-1 rows here (module docstring);
     # only their lambda values and masses are kept through uncompute
     kept_lam, kept_mass = _kept_lambdas(state, layout)
-    state = uncompute(state, layout, filt, compiled.pe, atol=atol)
-    raw = sample(state, config.shots, config.seed) if config.mode == "sampled" else None
-    success_prob, collapsed = post_select(state, layout.ancilla, 1)
+    if config.mode == "exact":
+        # post-selection commutes with uncompute (module docstring); the
+        # ancilla is in the key, so this selects rows, and the state after
+        # the flip is freed before the branch is uncomputed
+        success_prob, state = post_select(state, layout.ancilla, 1)
+        collapsed = uncompute(state, layout, filt, compiled.pe, atol=atol)
+        raw = None
+    else:
+        # the draw runs on the whole uncomputed state, before post-selection
+        state = uncompute(state, layout, filt, compiled.pe, atol=atol)
+        raw = sample(state, config.shots, config.seed)
+        success_prob, collapsed = post_select(state, layout.ancilla, 1)
     success_prob = min(success_prob, 1.0)
     del state
     output_amps = _readout(collapsed, layout, hin.integer_spectrum)
@@ -482,7 +506,10 @@ def run_qpca(
         np.add.at(per_data, x[anc == 1], hits[anc == 1])
         accepted = int(per_data.sum())
         if accepted == 0:
-            raise PipelineInvariantError("no shot landed on the post-selected ancilla")
+            raise NoShotAccepted(
+                f"none of {config.shots} shots landed on the post-selected ancilla "
+                f"(success probability {success_prob:.3e})"
+            )
         hit = np.flatnonzero(per_data)
         counts = dict(zip(hit.tolist(), per_data[hit].tolist()))
         output_amps = np.sqrt(per_data / accepted)

@@ -230,6 +230,21 @@ class TestRunCommand:
         assert code == EXIT_FILTERED
         assert "filtered" in capsys.readouterr().err
 
+    def test_no_shot_accepted_exits_three(self, tmp_path, capsys):
+        # success probability 1.48e-4: none of 100 shots lands on the
+        # post-selected ancilla, a measurement outcome, not a broken invariant
+        matrix = tmp_path / "rare.csv"
+        matrix.write_text("2,0\n0,0.125\n")
+        with pytest.warns(SpectralPrecisionWarning):
+            code = main(["run", "--matrix", str(matrix), "--tau", "0.5", "--eig-bits", "1",
+                         "--mode", "sampled", "--shots", "100", "--seed", "0",
+                         "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_FILTERED
+        err = capsys.readouterr().err
+        assert err.startswith("error: no shot accepted: none of 100 shots"), err
+        assert "success probability 1.481e-04" in err and "filtered" not in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_tau_exits_two(self, a_path, tmp_path, capsys):
         code = main(["run", "--matrix", a_path, "--tau", "-1", "--eig-bits", "2",
                      "--out", str(tmp_path / "x.json")])
@@ -408,6 +423,35 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--n-min", "3", "--n-max", "1", "--out", str(tmp_path / "b.csv")])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_calls_in_one_process_match_fresh_processes(a_path, tmp_path, capsys):
+    # the parser is built once per process: run, analyze, a bad argument
+    # and run again give what a fresh interpreter gives for each
+    out, table = tmp_path / "x.json", tmp_path / "t.csv"
+    calls = [
+        ["run", "--matrix", a_path, "--tau", "1", "--eig-bits", "2", "--mode", "sampled",
+         "--out", str(out)],
+        ["analyze", "--n-min", "1", "--n-max", "3", "--out", str(table)],
+        ["run", "--matrix", a_path, "--tau", "1", "--eig-bits", "two", "--out", str(out)],
+        ["run", "--matrix", a_path, "--tau", "1", "--eig-bits", "3", "--out", str(out)],
+    ]
+
+    def written():
+        return tuple(p.read_bytes() if p.exists() else None for p in (out, table))
+
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refuses the bad argument
+            code = e.code
+        codes.append(code)
+        got = (code, *capsys.readouterr(), *written())
+        proc = subprocess.run([sys.executable, "-m", "qpcasim.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr, *written()) == got, argv
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_OK]
 
 
 def test_console_entry_point(tmp_path):
