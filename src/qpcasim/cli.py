@@ -199,9 +199,13 @@ def run_command(matrix_path: str, config: QpcaConfig, out_path: str) -> int:
         return _fail(EXIT_INPUT, str(e))
 
     out = Path(out_path)
-    out.write_text(json.dumps(_result_document(hin, config, result), indent=2) + "\n")
     plot = out.with_suffix(".csv")
-    plot.write_text(_plot_csv(result))
+    document = json.dumps(_result_document(hin, config, result), indent=2) + "\n"
+    for path, text in ((out, document), (plot, _plot_csv(result))):
+        try:
+            path.write_text(text)
+        except OSError as e:
+            return _fail(EXIT_INPUT, f"{path}: cannot write: {e.strerror or e}")
     print(f"wrote {out} and {plot}")
     return EXIT_OK
 

@@ -9,12 +9,12 @@ state  sum_{k kept} sigma_k |u_k>|u_k>  up to normalization, kept meaning
 ``FilterParams.keeps``.  With S the state after the flip, W the filter and P
 the projection onto ancilla 1, the post-selected state is
 P PE^dagger W^dagger S = PE^dagger W^dagger P S, as P commutes with gates that
-do not touch the ancilla.  So exact mode post-selects S and uncomputes the
+do not touch the ancilla.  So every call post-selects S and uncomputes the
 ancilla-1 branch alone; the ancilla-0 branch, which post-selection discards,
-is never uncomputed, and its work registers are not checked.  Sampled mode
-draws its shots from the whole uncomputed state and post-selects after.  The
-histogram of the kept eigenvalues, which a second phase estimation of the
-post-selected state would read, is read off the register before uncomputing:
+is never uncomputed, and its work registers are not checked.  The mode
+decides only how the output is reported (``run_qpca``).  The histogram of
+the kept eigenvalues, which a second phase estimation of the post-selected
+state would read, is read off the register before uncomputing:
 PE P PE^dagger W^dagger S = P W^dagger S, and W^dagger moves y alone, so the
 histogram is the lambda marginal of P S: the ancilla-1 rows after the flip,
 renormalized.
@@ -86,18 +86,17 @@ UNCOMPUTE_ATOL = 1e-9
 # Largest block of 2**(n+m) amplitudes that run_qpca simulates.  From phase
 # estimation on a state holds at most two such blocks for any spectrum; the
 # filter and flip tables (2**n entries) and the phase gate (2**(n+k)) are
-# smaller, and basis indices stay under 44 bits.  For a spectrum that is not
-# integer, a first call at a width peaks in sampled mode at 5.2 blocks of
-# 16 * 2**(n+m) bytes (dim 16 at n = 8), and at 7.2 where its row keys are as
-# large as its rows (dim 2 at n = 16 and at n = 20): about 460 MiB at this
-# limit.  Exact mode, which uncomputes the ancilla-1 branch alone, peaks
-# 1.3 to 1.4 blocks lower, at 3.9 and 5.8.  A later call, which starts at
-# the filter, peaks 1.1 to 1.9 blocks lower than a first: 2.7 and 4.0 blocks
-# in exact mode, 4.1 and 5.5 in sampled mode.  An integer spectrum's register
-# shift fills one row of 2**m amplitudes per distinct eigenvalue, not the
-# block, and its calls peak at a fraction of a block (dim 16 at n = 12: 0.02
-# cold and warm); at dim 2 and n = 20 the 2**n entries of the filter and
-# flip tables dominate, 1.21 blocks cold and warm (tracemalloc, numpy 2.4).
+# smaller, and basis indices stay under 44 bits.  Either mode uncomputes the
+# ancilla-1 branch alone.  For a spectrum that is not integer, a first call
+# at a width peaks at 3.9 blocks of 16 * 2**(n+m) bytes (dim 16 at n = 8),
+# and at 5.8 where its row keys are as large as its rows (dim 2 at n = 16
+# and at n = 20): about 370 MiB at this limit.  A later call, which starts
+# at the filter, peaks 1.2 to 1.9 blocks lower than a first: 2.7 and 4.0
+# blocks.  An integer spectrum's register shift fills one row of 2**m
+# amplitudes per distinct eigenvalue, not the block, and its calls peak at a
+# fraction of a block (dim 16 at n = 12: 0.02 cold and warm); at dim 2 and
+# n = 20 the 2**n entries of the filter and flip tables dominate, 1.21 to
+# 1.33 blocks cold and 1.21 warm (tracemalloc, numpy 2.4).
 # Between calls an input holds at most 1.625 blocks: its estimated state of
 # one register width (one block), that width's flip table, 8 * 2**n bytes,
 # at most an eighth of a block as m >= 2, and, for a spectrum that is not
@@ -161,7 +160,8 @@ class HermitianInput:
         eigvals = eigvals[order]
         eigvecs = eigvecs[:, order]
         recon = (eigvecs * eigvals) @ eigvecs.T
-        if np.max(np.abs(recon - m)) > 1e-9:
+        # eigh's error grows with the entries: 1e-9 per unit of the largest
+        if np.max(np.abs(recon - m)) > 1e-9 * max(1.0, float(np.max(np.abs(m)))):
             raise PipelineInvariantError("eigendecomposition failed to reproduce the matrix")
         rank = int(np.sum(np.abs(eigvals) > 1e-12))
         integer = bool(np.all(np.abs(eigvals - np.rint(eigvals)) <= SPECTRUM_ATOL))
@@ -275,10 +275,12 @@ def ancilla_flip_gate(layout: RegisterLayout) -> GateOp:
 
 
 def _work_rows(state: StateVector, layout: RegisterLayout):
-    """The live rows of ``state`` keyed by the work registers: the ancilla,
-    y and lambda values of each row, and the rows' data-register amplitudes."""
-    keys, block = state.rows(layout.work_qubits)
-    anc, y, lam, _ = layout.split(keys << layout.data_qubits)
+    """The live rows of ``state``, read at its split or, if that is above
+    the work registers, re-keyed to them: the ancilla, y and lambda values
+    of each row, and the rows."""
+    top = max(state._top, layout.work_qubits)
+    keys, block = state.rows(top)
+    anc, y, lam, _ = layout.split(keys << (state.num_qubits - top))
     return anc, y, lam, block
 
 
@@ -334,16 +336,6 @@ def lambda_register_histogram(state: StateVector, layout: RegisterLayout) -> dic
     return _histogram(lam, _row_masses(block), layout.eig_bits)
 
 
-def _kept_lambdas(state: StateVector, layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray]:
-    """The lambda value and the mass of each live row of ``state`` with the
-    ancilla at 1, read at the stored split, which must lie at or below the
-    work registers, so nothing is re-keyed."""
-    keys, block = state.rows(state._top)
-    anc, _, lam, _ = layout.split(keys << (state.num_qubits - state._top))
-    hit = anc == 1
-    return lam[hit], _row_masses(block)[hit]
-
-
 def make_layout(hin: HermitianInput, n_bits: int) -> RegisterLayout:
     k = hin.dim.bit_length() - 1
     if (1 << k) != hin.dim:
@@ -388,9 +380,11 @@ def _readout(collapsed: StateVector, layout: RegisterLayout, integer_spectrum: b
     """The post-selected data-register amplitudes: the row with the ancilla
     at 1 and clean work registers, renormalized and real.
 
-    With ancilla = 1 all mass should sit on clean work registers.
-    Approximate spectra leak some mass outside that block; it is
-    renormalized either way."""
+    ``collapsed`` is uncomputed, so split at or above the work registers,
+    and read with one row per work-register value.  For an integer spectrum
+    mass outside the clean row is what ``uncompute`` failed to restore, an
+    error beyond ``UNCOMPUTE_ATOL``; approximate spectra leak some, and the
+    row is renormalized either way."""
     anc, y, lam, block = _work_rows(collapsed, layout)
     clean = np.flatnonzero((anc == 1) & (y == 0) & (lam == 0))
     amps = block[clean[0]] if clean.size else np.zeros(block.shape[1], dtype=np.complex128)
@@ -416,10 +410,11 @@ def run_qpca(
 
     ``filter_table`` overrides the Newton-built table (its tau and n_bits
     must match ``config``); used to check that reciprocal rounding never leaks
-    into the output.  Exact mode post-selects before ``uncompute`` and
-    reports the post-selected amplitudes directly; sampled mode measures the
-    uncomputed pre-selection state ``config.shots`` times, keeps ancilla-1
-    shots, and estimates amplitude magnitudes as sqrt(count / kept).
+    into the output.  Exact mode reports the post-selected amplitudes.
+    Sampled mode draws how many of ``config.shots`` land on ancilla 1, a
+    binomial of the success probability rounded as ``sample`` rounds, then
+    their outcomes from the uncomputed branch: the law of one draw over the
+    whole uncomputed state.  It estimates magnitudes as sqrt(count / accepted).
 
     Non-integer spectra are accepted with a warning: phase estimation then
     runs in its Fourier form, not as a register shift (see the module
@@ -469,25 +464,20 @@ def run_qpca(
 
     filt = build_filter_unitary(filter_table, layout)
 
-    atol = UNCOMPUTE_ATOL if hin.integer_spectrum else None
     # the filter and the flip, both table adds, in one pass over the keys
     state = run(compiled.estimated, Circuit(layout.num_qubits, (filt, compiled.flip)))
     # the histogram is that of the ancilla-1 rows here (module docstring);
     # only their lambda values and masses are kept through uncompute
-    kept_lam, kept_mass = _kept_lambdas(state, layout)
-    if config.mode == "exact":
-        # post-selection commutes with uncompute (module docstring); the
-        # ancilla is in the key, so this selects rows, and the state after
-        # the flip is freed before the branch is uncomputed
-        success_prob, state = post_select(state, layout.ancilla, 1)
-        collapsed = uncompute(state, layout, filt, compiled.pe, atol=atol)
-        raw = None
-    else:
-        # the draw runs on the whole uncomputed state, before post-selection
-        state = uncompute(state, layout, filt, compiled.pe, atol=atol)
-        raw = sample(state, config.shots, config.seed)
-        success_prob, collapsed = post_select(state, layout.ancilla, 1)
+    anc, y, lam, block = _work_rows(state, layout)
+    kept_lam, kept_mass = lam[anc == 1], _row_masses(block)[anc == 1]
+    del anc, y, lam, block
+    # post-selection commutes with uncompute (module docstring); the ancilla
+    # is in the key, so this selects rows, and the state after the flip is
+    # freed before the branch is uncomputed
+    success_prob, state = post_select(state, layout.ancilla, 1)
     success_prob = min(success_prob, 1.0)
+    # on this branch uncompute's residual is _readout's stray population
+    collapsed = uncompute(state, layout, filt, compiled.pe, atol=None)
     del state
     output_amps = _readout(collapsed, layout, hin.integer_spectrum)
     histogram = _histogram(kept_lam, kept_mass / kept_mass.sum(), layout.eig_bits)
@@ -498,18 +488,20 @@ def run_qpca(
         expected = None
 
     shots = counts = None
-    if raw is not None:
-        anc, _, _, x = layout.split(np.fromiter(raw, dtype=np.intp, count=len(raw)))
-        hits = np.fromiter(raw.values(), dtype=np.int64, count=len(raw))
-        # ancilla-1 shots, whatever the work registers read, per data value
-        per_data = np.zeros(1 << layout.data_qubits, dtype=np.int64)
-        np.add.at(per_data, x[anc == 1], hits[anc == 1])
-        accepted = int(per_data.sum())
+    if config.mode == "sampled":
+        # the shots that land on ancilla 1, then their draw from the branch
+        rng = np.random.default_rng(config.seed)
+        accepted = int(rng.binomial(config.shots, np.rint(success_prob / ROUNDOFF) * ROUNDOFF))
         if accepted == 0:
             raise NoShotAccepted(
                 f"none of {config.shots} shots landed on the post-selected ancilla "
                 f"(success probability {success_prob:.3e})"
             )
+        raw = sample(collapsed, accepted, rng)
+        # shots per data value, whatever the work registers read, in int64
+        x = layout.split(np.fromiter(raw, dtype=np.intp, count=len(raw)))[3]
+        per_data = np.zeros(1 << layout.data_qubits, dtype=np.int64)
+        np.add.at(per_data, x, np.fromiter(raw.values(), dtype=np.int64, count=len(raw)))
         hit = np.flatnonzero(per_data)
         counts = dict(zip(hit.tolist(), per_data[hit].tolist()))
         output_amps = np.sqrt(per_data / accepted)

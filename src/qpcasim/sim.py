@@ -492,11 +492,12 @@ def post_select(state: StateVector, qubit: int, outcome: int) -> tuple[float, St
 def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
     """Multinomial measurement counts over basis states; deterministic per seed.
 
-    The draw runs over the live amplitudes in ascending basis order, with
-    each probability rounded to a multiple of ``ROUNDOFF`` first.  A
-    zero-probability outcome draws no random numbers, so round-off amplitudes
-    and amplitudes left out draw none, and an ulp-level change of the state
-    cannot flip a count.
+    ``seed`` is anything ``np.random.default_rng`` takes: an int, or a
+    ``Generator``, whose stream the draw continues.  The draw runs over the
+    live amplitudes in ascending basis order, with each probability rounded
+    to a multiple of ``ROUNDOFF`` first.  A zero-probability outcome draws
+    no random numbers, so round-off amplitudes and amplitudes left out draw
+    none, and an ulp-level change of the state cannot flip a count.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

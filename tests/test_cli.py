@@ -190,6 +190,14 @@ class TestRunCommand:
         assert doc["success_probability"] == 0.9
         assert doc["fidelity_vs_classical"] == 1.0
 
+    def test_unwritable_out_exits_two_naming_the_path(self, a_path, tmp_path, capsys):
+        # a file error is bad input, exit 2, not an unexpected failure
+        for out in (tmp_path / "no" / "such" / "dir" / "o.json", tmp_path):
+            code = main(["run", "--matrix", a_path, "--tau", "1.0", "--eig-bits", "2",
+                         "--out", str(out)])
+            assert code == EXIT_INPUT
+            assert capsys.readouterr().err.startswith(f"error: {out}: cannot write: ")
+
     def test_all_filtered_exits_three(self, c_path, tmp_path, capsys):
         code = main(["run", "--matrix", c_path, "--tau", "9.0", "--eig-bits", "2",
                      "--out", str(tmp_path / "x.json")])

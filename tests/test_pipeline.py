@@ -112,6 +112,19 @@ class TestHermitianInput:
             with pytest.raises(ValueError, match="not a finite number"):
                 PhaseEstimationSpec(m, eig_bits=2)
 
+    def test_large_entries_reproduce_within_their_scale(self):
+        # eigh reproduces this matrix to 1.4e-9, eps * max|A| being 5.6e-10:
+        # an absolute 1e-9 refused a valid input
+        m = np.array([[2e6, 2e6], [2e6, 2.5e6]])
+        hin = HermitianInput.from_matrix(m)
+        recon = (hin.eigenvectors * hin.eigenvalues) @ hin.eigenvectors.T
+        assert np.max(np.abs(recon - m)) < 1e-9 * 2.5e6
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+            big = (q * rng.uniform(0.0, 1e6, 16)) @ q.T
+            HermitianInput.from_matrix((big + big.T) / 2)
+
     def test_zero_matrix_has_no_encoding(self):
         hin = HermitianInput.from_matrix(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="zero"):
@@ -516,9 +529,9 @@ class TestRunQpca:
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_exact_call_uncomputes_the_ancilla_one_branch_alone(self, mode, monkeypatch):
-        # exact mode post-selects right after the flip, so the filter^dagger
+        # both modes post-select right after the flip, so the filter^dagger
         # and the inverse phase estimation see only ancilla-1 rows; sampled
-        # mode draws from the whole uncomputed state, ancilla-0 rows included
+        # mode draws its shots from that branch after uncompute
         hin = HermitianInput.from_matrix(
             matrix_with_spectrum(np.random.default_rng(3), [5.3, 3.7, 2.2, 0.6])
         )
@@ -538,32 +551,46 @@ class TestRunQpca:
         assert [label for label, _ in seen] == ["U_lambda_tau", "U_lambda_tau", "QFT"]
         assert not seen[0][1].any()  # the filter and flip start from the slot
         ancillas = np.concatenate([anc for _, anc in seen[1:]])
-        if mode == "exact":
-            assert ancillas.all()
-        else:
-            assert not ancillas.all() and ancillas.any()
+        assert ancillas.all()
 
     def test_warm_non_integer_call_peak_stays_at_its_measured_level(self):
         # A warm call on this non-integer input peaked at 4.08 blocks of
         # 16 * 2**(n+m) bytes (tracemalloc, numpy 2.4) while uncompute ran on
-        # both ancilla branches; post-selecting first, it measured 2.67.
-        # The bound is that measure plus 0.1 block.
+        # both ancilla branches; post-selecting first, it measured 2.67, in
+        # either mode.  The bound is that measure plus 0.1 block.
         rng = np.random.default_rng(9)
         tau = 0.4 * 2**8 + 0.5
         mat, _ = random_integer_spectrum_matrix(rng, 16, 8, tau=tau)
         hin = HermitianInput.from_matrix(mat + 0.3 * np.eye(16))
-        config = QpcaConfig(tau=tau, n_bits=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SpectralPrecisionWarning)
+        for mode in ("exact", "sampled"):
+            config = QpcaConfig(tau=tau, n_bits=8, mode=mode)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SpectralPrecisionWarning)
+                run_qpca(hin, config)
+                tracemalloc.start()
+                try:
+                    result = run_qpca(hin, config)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak / (16 << (8 + 8)) < 2.67 + 0.1, mode
+            # sampled fidelity compares magnitudes with signed amplitudes
+            assert result.fidelity > (0.999 if mode == "exact" else 0.8), mode
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_broken_uncompute_raises(self, mode):
+        # an inverse phase estimation that shifts the register by the wrong
+        # table leaves mass on lambda != 0; either mode refuses the result
+        hin = HermitianInput.from_matrix(np.diag([3.0, 1.0]))
+        config = QpcaConfig(tau=1.5, n_bits=2, mode=mode)
+        run_qpca(hin, config)
+        slot = hin._slot
+        v_t, shift = slot.pe.ops
+        wrong = sim.GateOp(shift.matrix + 1, shift.targets, label=shift.label)
+        pe = sim.Circuit(slot.pe.num_qubits, (v_t, wrong))
+        object.__setattr__(hin, "_slot", dataclasses.replace(slot, pe=pe))
+        with pytest.raises(pipeline.PipelineInvariantError, match="uncompute|stray population"):
             run_qpca(hin, config)
-            tracemalloc.start()
-            try:
-                result = run_qpca(hin, config)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak / (16 << (8 + 8)) < 2.67 + 0.1
-        assert result.fidelity > 0.999
 
     def test_rejects_non_power_of_two_dimension(self):
         hin = HermitianInput.from_matrix(np.eye(3))
@@ -1042,6 +1069,16 @@ class TestSampledMode:
         r1, r2 = run_qpca(hin, cfg), run_qpca(hin, cfg)
         assert r1.counts == r2.counts
         assert np.array_equal(r1.output_amps, r2.output_amps)
+
+    def test_largest_shot_count_completes(self, matrix_a):
+        # shots are counted in int64 from the draw to the per-value sums
+        shots = 2**63 - 1
+        hin = HermitianInput.from_matrix(matrix_a)
+        r = run_qpca(hin, QpcaConfig(tau=1.0, n_bits=2, mode="sampled", shots=shots, seed=3))
+        accepted = sum(r.counts.values())
+        assert r.shots == shots and accepted < shots
+        assert abs(accepted / shots - 0.8) < 1e-6
+        assert np.max(np.abs(r.output_amps - 0.5)) < 1e-6
 
     def test_acceptance_rate_tracks_success_probability(self, matrix_a):
         hin = HermitianInput.from_matrix(matrix_a)
