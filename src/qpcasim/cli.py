@@ -219,7 +219,10 @@ def analyze_command(n_min: int, n_max: int, out_path: str) -> int:
         lines.append(
             f"{n},{cost_proposed(n, 1).total},{cost_baseline(n, 1).total},{gate_ratio(n):.4f}"
         )
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    try:
+        Path(out_path).write_text("\n".join(lines) + "\n")
+    except OSError as e:
+        return _fail(EXIT_INPUT, f"{out_path}: cannot write: {e.strerror or e}")
     print(f"wrote {out_path}")
     return EXIT_OK
 

@@ -179,22 +179,34 @@ class FilterParams:
 class FilterTable:
     """Lookup lambda_raw -> y_raw over all 2**n_bits register values.
 
-    Invariants checked at construction: y == 0 exactly where
-    ``params.keeps(lambda)`` is false, and y is nondecreasing on the kept
-    side (larger eigenvalues shrink less).
+    ``y_raws`` is held as a read-only int64 array, the form of every table
+    gate; a tuple or list of ints is converted once, and an int64 array is
+    taken as it is and made read-only.  Invariants checked at construction:
+    every entry is an integer that fits the n-bit y register, y == 0
+    exactly where ``params.keeps(lambda)`` is false, and y is nondecreasing
+    on the kept side (larger eigenvalues shrink less).
     """
 
     params: FilterParams
-    y_raws: tuple[int, ...]
+    y_raws: np.ndarray
 
     def __post_init__(self):
         n = self.params.n_bits
-        if len(self.y_raws) != (1 << n):
-            raise ValueError(f"table needs {1 << n} entries, got {len(self.y_raws)}")
-        y = np.array(self.y_raws)
-        if min(self.y_raws) < 0 or max(self.y_raws) >= 1 << n:
+        y = np.asarray(self.y_raws)
+        if y.ndim != 1:
+            raise ValueError(f"table must be one-dimensional, got shape {y.shape}")
+        if len(y) != (1 << n):
+            raise ValueError(f"table needs {1 << n} entries, got {len(y)}")
+        if y.dtype.kind not in "iu":
+            # floats, or Python ints past int64, which numpy holds as objects;
+            # each entry as given, before numpy casts a mixed tuple
+            for v in np.asarray(self.y_raws, dtype=object).tolist():
+                if not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+                    raise ValueError(f"y value {v!r} is not an integer")
+        if y.min() < 0 or y.max() >= 1 << n:
             wide = np.flatnonzero((y < 0) | (y >= 1 << n))[0]
             raise ValueError(f"y value {y[wide]} does not fit the {n}-bit register")
+        y = y.astype(np.int64, copy=False)
         kept = y > 0
         split = kept != self.params.keeps(np.arange(1 << n))
         if np.count_nonzero(split):
@@ -207,20 +219,22 @@ class FilterTable:
         if np.count_nonzero(falls):
             lam = np.flatnonzero(kept)[np.flatnonzero(falls)[0] + 1]
             raise ValueError(f"y not monotone at lambda={lam}")
+        y.setflags(write=False)
+        object.__setattr__(self, "y_raws", y)
 
     @property
     def frac_bits(self) -> int:
         return self.params.frac_bits
 
     def y_raw(self, lam_raw: int) -> int:
-        return self.y_raws[lam_raw]
+        return int(self.y_raws[lam_raw])
 
     def y_value(self, lam_raw: int) -> float:
-        return self.y_raws[lam_raw] / (1 << self.frac_bits)
+        return self.y_raw(lam_raw) / (1 << self.frac_bits)
 
     @property
     def kept_values(self) -> tuple[int, ...]:
-        return tuple(lam for lam, y in enumerate(self.y_raws) if y > 0)
+        return tuple(np.flatnonzero(self.y_raws).tolist())
 
     def __len__(self) -> int:
         return len(self.y_raws)
@@ -240,8 +254,8 @@ def build_filter_table(params: FilterParams) -> FilterTable:
     f = params.frac_bits
     z = _register_reciprocals(n, params.iterations, f)
     y = np.rint(np.ldexp(1.0 - params.tau_fixed.value * z, f))
-    y = np.minimum(np.maximum(y, 1), (1 << f) - 1) * params.keeps(np.arange(1 << n))
-    return FilterTable(params=params, y_raws=tuple(y.astype(np.int64).tolist()))
+    y = np.minimum(np.maximum(y, 1), (1 << f) - 1).astype(np.int64)
+    return FilterTable(params=params, y_raws=y * params.keeps(np.arange(1 << n)))
 
 
 def exact_shrink_table(params: FilterParams) -> FilterTable:
@@ -252,12 +266,11 @@ def exact_shrink_table(params: FilterParams) -> FilterTable:
     only the zero/nonzero pattern of y survives uncomputation.
     """
     scale = 1 << params.frac_bits
-    kept = params.keeps(np.arange(1 << params.n_bits))
-    y_raws = tuple(
-        min(scale - 1, max(1, math.ceil(shrink(lam, params.tau) * scale))) if keep else 0
-        for lam, keep in enumerate(kept.tolist())
-    )
-    return FilterTable(params=params, y_raws=y_raws)
+    lam = np.arange(1 << params.n_bits)
+    # shrink(lam, tau) on every register value; lambda = 0 is never kept
+    s = np.maximum(1.0 - params.tau / np.maximum(lam, 1), 0.0)
+    y = np.minimum(np.maximum(np.ceil(s * scale), 1), scale - 1).astype(np.int64)
+    return FilterTable(params=params, y_raws=y * params.keeps(lam))
 
 
 def build_filter_unitary(table: FilterTable, layout: RegisterLayout) -> GateOp:
@@ -273,4 +286,4 @@ def build_filter_unitary(table: FilterTable, layout: RegisterLayout) -> GateOp:
         raise ValueError(
             f"table built for {n}-bit registers but layout has {len(layout.y_reg)}"
         )
-    return GateOp(np.array(table.y_raws), layout.y_reg + layout.lambda_reg, label="U_lambda_tau")
+    return GateOp(table.y_raws, layout.y_reg + layout.lambda_reg, label="U_lambda_tau")

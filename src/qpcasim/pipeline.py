@@ -94,9 +94,9 @@ UNCOMPUTE_ATOL = 1e-9
 # at the filter, peaks 1.2 to 1.9 blocks lower than a first: 2.7 and 4.0
 # blocks.  An integer spectrum's register shift fills one row of 2**m
 # amplitudes per distinct eigenvalue, not the block, and its calls peak at a
-# fraction of a block (dim 16 at n = 12: 0.02 cold and warm); at dim 2 and
-# n = 20 the 2**n entries of the filter and flip tables dominate, 1.21 to
-# 1.33 blocks cold and 1.21 warm (tracemalloc, numpy 2.4).
+# fraction of a block (dim 16 at n = 12: 0.01 cold and warm); at dim 2 and
+# n = 20 the 2**n int64 entries of the filter and flip tables dominate, 0.91
+# blocks cold and 0.78 warm (tracemalloc, numpy 2.4).
 # Between calls an input holds at most 1.625 blocks: its estimated state of
 # one register width (one block), that width's flip table, 8 * 2**n bytes,
 # at most an eighth of a block as m >= 2, and, for a spectrum that is not
@@ -337,6 +337,10 @@ def lambda_register_histogram(state: StateVector, layout: RegisterLayout) -> dic
 
 
 def make_layout(hin: HermitianInput, n_bits: int) -> RegisterLayout:
+    if hin.dim < 2:
+        raise ValueError(
+            f"matrix dimension {hin.dim} is below 2, the smallest the data register encodes"
+        )
     k = hin.dim.bit_length() - 1
     if (1 << k) != hin.dim:
         raise ValueError(f"matrix dimension {hin.dim} is not a power of two")
@@ -463,6 +467,7 @@ def run_qpca(
     kept_eigenvalues = tuple(hin.eigenvalues[params.keeps(hin.eigenvalues)].tolist())
 
     filt = build_filter_unitary(filter_table, layout)
+    del filter_table  # not held through the run: the gate keeps its own copy
 
     # the filter and the flip, both table adds, in one pass over the keys
     state = run(compiled.estimated, Circuit(layout.num_qubits, (filt, compiled.flip)))

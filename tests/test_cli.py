@@ -198,6 +198,14 @@ class TestRunCommand:
             assert code == EXIT_INPUT
             assert capsys.readouterr().err.startswith(f"error: {out}: cannot write: ")
 
+    def test_one_by_one_matrix_exits_two_naming_the_dimension(self, tmp_path, capsys):
+        matrix = tmp_path / "one.csv"
+        matrix.write_text("3\n")
+        code = main(["run", "--matrix", str(matrix), "--tau", "1.0", "--eig-bits", "2",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: matrix dimension 1 is below 2")
+
     def test_all_filtered_exits_three(self, c_path, tmp_path, capsys):
         code = main(["run", "--matrix", c_path, "--tau", "9.0", "--eig-bits", "2",
                      "--out", str(tmp_path / "x.json")])
@@ -431,6 +439,13 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--n-min", "3", "--n-max", "1", "--out", str(tmp_path / "b.csv")])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_out_exits_two_naming_the_path(self, tmp_path, capsys):
+        # a file error is bad input, exit 2, not an unexpected failure
+        for out in (tmp_path / "no" / "such" / "dir" / "b.csv", tmp_path):
+            code = main(["analyze", "--n-min", "1", "--n-max", "2", "--out", str(out)])
+            assert code == EXIT_INPUT
+            assert capsys.readouterr().err.startswith(f"error: {out}: cannot write: ")
 
 
 def test_calls_in_one_process_match_fresh_processes(a_path, tmp_path, capsys):

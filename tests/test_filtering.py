@@ -253,7 +253,7 @@ class TestFilterTable:
                     z = newton_reciprocal(FixedPoint.integer(lam, n), params.iterations, n)
                     y = round((1.0 - params.tau_fixed.value * z.value) * (1 << n))
                     want.append(min((1 << n) - 1, max(1, y)))
-                assert build_filter_table(params).y_raws == tuple(want), (n, tau)
+                assert build_filter_table(params).y_raws.tolist() == want, (n, tau)
 
     def test_exact_shrink_table_same_kept_set(self):
         for n in (2, 3):
@@ -275,11 +275,37 @@ class TestFilterTable:
             FilterTable(params=params, y_raws=(0, 0, 4, 2))
         with pytest.raises(ValueError, match="fit"):
             FilterTable(params=params, y_raws=(0, 0, -1, 2))
+        # past int64, where numpy holds the entries as Python objects
+        with pytest.raises(ValueError, match=f"y value {2**70} does not fit the 2-bit register"):
+            FilterTable(params=params, y_raws=(0, 0, 2**70, 3))
 
     def test_table_constructor_rejects_falling_y(self):
         params = FilterParams(tau=0.5, n_bits=3)
         with pytest.raises(ValueError, match="not monotone at lambda=4"):
             FilterTable(params=params, y_raws=(0, 1, 3, 3, 2, 5, 6, 7))
+
+    def test_table_constructor_rejects_non_integer_y(self):
+        params = FilterParams(tau=1.0, n_bits=2)
+        with pytest.raises(ValueError, match="y value 2.5 is not an integer"):
+            FilterTable(params=params, y_raws=(0, 0, 2.5, 3))
+        with pytest.raises(ValueError, match="y value 'a' is not an integer"):
+            FilterTable(params=params, y_raws=(0, 0, "a", 3))
+
+    def test_table_constructor_rejects_two_dimensional_y(self):
+        params = FilterParams(tau=1.0, n_bits=2)
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)"):
+            FilterTable(params=params, y_raws=((0, 0), (2, 3)))
+
+    def test_table_is_read_only_int64(self):
+        for table in (
+            build_filter_table(FilterParams(tau=1.0, n_bits=3)),
+            FilterTable(params=FilterParams(tau=1.0, n_bits=2), y_raws=[0, 0, 2, 3]),
+        ):
+            assert table.y_raws.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                table.y_raws[2] = 0
+            assert type(table.y_raw(2)) is int and type(table.y_value(2)) is float
+            assert all(type(lam) is int for lam in table.kept_values)
 
 
 class TestFilterUnitary:
@@ -330,6 +356,11 @@ class TestFilterUnitary:
         assert np.array_equal(gate_matrix(op.dagger()), want.T)
         assert np.array_equal(simulated_matrix(op), want)
         assert np.array_equal(simulated_matrix(op.dagger()), want.T)
+
+    def test_gate_table_is_the_filter_table(self):
+        layout = RegisterLayout(eig_bits=3, data_qubits=2)
+        table = build_filter_table(FilterParams(tau=2.5, n_bits=3))
+        assert np.array_equal(build_filter_unitary(table, layout).matrix, table.y_raws)
 
     def test_inverse_restores(self):
         layout = RegisterLayout(eig_bits=2, data_qubits=2)
